@@ -102,6 +102,7 @@ func TestFleetAllocBudgets(t *testing.T) {
 	}
 	checkAllocBudgets(t, "BENCH_fleet.json", map[string]func(*testing.B){
 		"WheelSchedule":   benchWheelSchedule,
+		"WheelSparse":     benchWheelSparse,
 		"Run2k":           benchFleetRun2k,
 		"Run2kSharded":    benchFleetRun2kSharded,
 		"SnapshotSave":    benchSnapshotSave,

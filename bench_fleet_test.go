@@ -11,6 +11,7 @@ package sslab_test
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -125,6 +126,7 @@ func TestFleetScaling(t *testing.T) {
 
 func BenchmarkFleet(b *testing.B) {
 	b.Run("WheelSchedule", benchWheelSchedule)
+	b.Run("WheelSparse", benchWheelSparse)
 	b.Run("Run2k", benchFleetRun2k)
 	b.Run("Run2kSharded", benchFleetRun2kSharded)
 	b.Run("SnapshotSave", benchSnapshotSave)
@@ -152,6 +154,64 @@ func benchWheelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	round(b.N)
+}
+
+// sparseTimer is one self-re-arming WheelSparse timer.
+type sparseTimer struct {
+	st *sparseState
+	k  int
+}
+
+// sparseState is shared by a WheelSparse population: the wheel, the
+// pre-drawn gap table and the count of firings still to re-arm.
+type sparseState struct {
+	sim  *netsim.Sim
+	w    *netsim.Wheel
+	gaps []time.Duration
+	left int
+}
+
+func runSparseTimer(x any) {
+	t := x.(*sparseTimer)
+	st := t.st
+	if st.left <= 0 {
+		return
+	}
+	st.left--
+	t.k++
+	st.w.Schedule(st.sim.Now().Add(st.gaps[t.k&(len(st.gaps)-1)]), runSparseTimer, t)
+}
+
+// benchWheelSparse drives the wheel the way one region-resume unit
+// does: 200 timers, each re-arming itself from its own callback after
+// an exponential gap with a 30-minute mean. At this density most anchors
+// pour a single entry, so the per-anchor cost of the wheel, not the
+// per-entry cost, dominates; the dense WheelSchedule stream never shows
+// it. One op = one timer fired and re-armed. A warm-up run pre-grows
+// the slot arrays, the anchor freelist and the event heap.
+func benchWheelSparse(b *testing.B) {
+	const timers = 200
+	sim := netsim.NewSim()
+	st := &sparseState{sim: sim, w: netsim.NewWheel(sim), gaps: make([]time.Duration, 4096)}
+	rng := rand.New(rand.NewSource(1))
+	for i := range st.gaps {
+		st.gaps[i] = time.Duration(rng.ExpFloat64() * float64(30*time.Minute))
+	}
+	ts := make([]sparseTimer, timers)
+	start := func(n int) {
+		st.left = n
+		base := sim.Now()
+		for i := range ts {
+			ts[i] = sparseTimer{st: st, k: i * 7}
+			st.w.Schedule(base.Add(st.gaps[(i*13)&(len(st.gaps)-1)]), runSparseTimer, &ts[i])
+		}
+	}
+	start(50 * timers)
+	sim.Run()
+	start(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.Run()
 }
 
 // benchFleetRun2k runs a complete 2000-user, 3-virtual-hour fleet

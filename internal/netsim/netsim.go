@@ -7,7 +7,9 @@
 //
 // A virtual clock makes four-month experiments run in milliseconds and
 // bit-for-bit reproducibly: all randomness is seeded and all event
-// ordering is total (time, then insertion sequence).
+// ordering is total (time, then insertion sequence). Internally the clock
+// is an int64 count of nanoseconds since Epoch; time.Time appears only at
+// the API boundary (Now, At, AtCall, RunUntil, PendingEvents).
 //
 // The event loop is the innermost hot path of every experiment, so it is
 // allocation-free in steady state: events live by value in a hand-rolled
@@ -30,10 +32,17 @@ import (
 // Shadowsocks experiment.
 var Epoch = time.Date(2019, 9, 29, 0, 0, 0, 0, time.UTC)
 
+// clockOf converts an absolute time to the internal clock: nanoseconds
+// since Epoch (saturating roughly 292 years either side of it).
+func clockOf(t time.Time) int64 { return int64(t.Sub(Epoch)) }
+
+// timeOf converts an internal clock value back to an absolute time.
+func timeOf(ns int64) time.Time { return Epoch.Add(time.Duration(ns)) }
+
 // event is one scheduled callback. Exactly one of fn and call is set:
 // fn is the closure form, call+arg the closure-free form (AtCall).
 type event struct {
-	at   time.Time
+	at   int64 // ns since Epoch
 	seq  uint64
 	fn   func()
 	call func(any)
@@ -42,15 +51,12 @@ type event struct {
 
 // before is the total event order: time, then insertion sequence.
 func (e *event) before(o *event) bool {
-	if !e.at.Equal(o.at) {
-		return e.at.Before(o.at)
-	}
-	return e.seq < o.seq
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Sim is the discrete-event scheduler with a virtual clock.
 type Sim struct {
-	now time.Time
+	now int64   // ns since Epoch
 	pq  []event // binary min-heap by (at, seq), events by value
 	seq uint64
 
@@ -92,7 +98,7 @@ func WithMetrics(m *metrics.Registry) Option {
 // NewSim returns a simulator starting at Epoch. With no options it is
 // identical to the historical zero-argument constructor.
 func NewSim(opts ...Option) *Sim {
-	s := &Sim{now: Epoch}
+	s := &Sim{}
 	for _, o := range opts {
 		o(s)
 	}
@@ -109,34 +115,34 @@ func NewSim(opts ...Option) *Sim {
 func (s *Sim) Seed() int64 { return s.seed }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Time { return s.now }
+func (s *Sim) Now() time.Time { return timeOf(s.now) }
 
 // At schedules fn at absolute time t (clamped to now if in the past).
 func (s *Sim) At(t time.Time, fn func()) {
-	s.push(event{at: t, fn: fn})
+	s.push(event{at: clockOf(t), fn: fn})
 }
 
 // After schedules fn d from now.
-func (s *Sim) After(d time.Duration, fn func()) { s.At(s.now.Add(d), fn) }
+func (s *Sim) After(d time.Duration, fn func()) { s.push(event{at: s.now + int64(d), fn: fn}) }
 
 // AtCall schedules call(arg) at absolute time t (clamped to now if in
 // the past). It is the closure-free form of At: a scheduler that reuses
 // one long-lived call function and threads per-event state through arg
 // (a pointer, to stay boxing-free) schedules without allocating.
 func (s *Sim) AtCall(t time.Time, call func(any), arg any) {
-	s.push(event{at: t, call: call, arg: arg})
+	s.push(event{at: clockOf(t), call: call, arg: arg})
 }
 
 // AfterCall schedules call(arg) d from now without allocating a closure.
 func (s *Sim) AfterCall(d time.Duration, call func(any), arg any) {
-	s.AtCall(s.now.Add(d), call, arg)
+	s.push(event{at: s.now + int64(d), call: call, arg: arg})
 }
 
 // push inserts e into the heap with the next sequence number.
 //
 //sslab:hotpath
 func (s *Sim) push(e event) {
-	if e.at.Before(s.now) {
+	if e.at < s.now {
 		e.at = s.now
 	}
 	s.seq++
@@ -214,12 +220,13 @@ func (s *Sim) Run() {
 
 // RunUntil processes events with at <= t, then advances the clock to t.
 func (s *Sim) RunUntil(t time.Time) {
-	for len(s.pq) > 0 && !s.pq[0].at.After(t) {
+	end := clockOf(t)
+	for len(s.pq) > 0 && s.pq[0].at <= end {
 		e := s.pop()
 		s.dispatch(&e)
 	}
-	if s.now.Before(t) {
-		s.now = t
+	if s.now < end {
+		s.now = end
 	}
 }
 

@@ -8,23 +8,26 @@ import (
 	"sslab/internal/metrics"
 )
 
-// The wheel geometry: three levels of 256 slots each. With the default
-// 1-second tick the levels span ~4 minutes, ~18 hours and ~194 days —
+// The wheel geometry: three levels of 256 slots each over a 1-second
+// level-0 tick, so the levels span ~4 minutes, ~18 hours and ~194 days —
 // enough that a multi-month experiment never overflows (and anything
 // beyond the top level falls back to the Sim heap, which is always
 // correct, just not O(1)).
 const (
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits
+	wheelMask   = wheelSlots - 1
 	wheelLevels = 3
 	wheelWords  = wheelSlots / 64
+	// wheelTick is the level-0 slot width in clock units (ns).
+	wheelTick = int64(time.Second)
 )
 
 // wentry is one deferred callback parked in the wheel. It carries the
 // exact target time, so parking in a coarse slot never quantizes
 // delivery: entries are handed to the Sim heap with their original at.
 type wentry struct {
-	at   time.Time
+	at   int64 // ns since Epoch
 	seq  uint64
 	call func(any)
 	arg  any
@@ -58,11 +61,14 @@ type anchorArg struct {
 //     pooled, and arg is a caller-owned pointer (no boxing).
 //
 // The wheel wakes itself with "anchor" events on the Sim heap, one per
-// occupied-slot boundary. The Sim cannot cancel events, so superseded
-// anchors simply fire as no-ops (advance finds nothing due).
+// occupied-slot boundary. Each level's cursor is the current tick
+// shifted down to that level, so an anchor at tick cur pours at most the
+// one slot per level under the cursor and re-arms from a circular
+// bitmap search: O(levels) per anchor, independent of how many slots
+// are occupied. The Sim cannot cancel events, so superseded anchors
+// simply fire as no-ops (advance finds nothing due).
 type Wheel struct {
-	sim  *Sim
-	tick time.Duration
+	sim *Sim
 
 	slots [wheelLevels][wheelSlots][]wentry
 	occ   [wheelLevels][wheelWords]uint64
@@ -81,33 +87,9 @@ type Wheel struct {
 	mAnchors   *metrics.Counter
 }
 
-// WheelOption configures a timing wheel at construction (see NewWheel).
-type WheelOption func(*wheelConfig)
-
-// wheelConfig holds the constructor knobs WheelOptions mutate.
-type wheelConfig struct {
-	tick time.Duration
-}
-
-// WithTick sets the level-0 slot width; entries closer than one tick go
-// straight to the Sim heap. Non-positive values fall back to the
-// 1-second default.
-func WithTick(d time.Duration) WheelOption {
-	return func(c *wheelConfig) { c.tick = d }
-}
-
-// NewWheel attaches a timing wheel to sim. With no options the level-0
-// slot width is one second, matching the historical
-// NewWheel(sim, time.Second) signature.
-func NewWheel(sim *Sim, opts ...WheelOption) *Wheel {
-	cfg := wheelConfig{tick: time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.tick <= 0 {
-		cfg.tick = time.Second
-	}
-	w := &Wheel{sim: sim, tick: cfg.tick, armed: math.MaxInt64}
+// NewWheel attaches a timing wheel with a 1-second level-0 tick to sim.
+func NewWheel(sim *Sim) *Wheel {
+	w := &Wheel{sim: sim, armed: math.MaxInt64}
 	w.mScheduled = sim.Metrics.Counter("wheel.scheduled")
 	w.mDirect = sim.Metrics.Counter("wheel.direct")
 	w.mCascaded = sim.Metrics.Counter("wheel.cascaded")
@@ -115,15 +97,9 @@ func NewWheel(sim *Sim, opts ...WheelOption) *Wheel {
 	return w
 }
 
-// Tick returns the level-0 slot width.
-func (w *Wheel) Tick() time.Duration { return w.tick }
-
 // Len returns the number of entries parked in the wheel (excluding
 // those already released to the Sim heap).
 func (w *Wheel) Len() int { return w.count }
-
-func (w *Wheel) absTick(t time.Time) int64  { return int64(t.Sub(Epoch) / w.tick) }
-func (w *Wheel) tickTime(k int64) time.Time { return Epoch.Add(time.Duration(k) * w.tick) }
 
 // Schedule parks call(arg) for dispatch at absolute time at (clamped to
 // now if in the past). It is the wheel counterpart of Sim.AtCall and
@@ -133,12 +109,7 @@ func (w *Wheel) tickTime(k int64) time.Time { return Epoch.Add(time.Duration(k) 
 func (w *Wheel) Schedule(at time.Time, call func(any), arg any) {
 	w.mScheduled.Inc()
 	w.seq++
-	w.place(wentry{at: at, seq: w.seq, call: call, arg: arg})
-}
-
-// After parks call(arg) d from now.
-func (w *Wheel) After(d time.Duration, call func(any), arg any) {
-	w.Schedule(w.sim.Now().Add(d), call, arg)
+	w.place(wentry{at: clockOf(at), seq: w.seq, call: call, arg: arg})
 }
 
 // place files e into the level whose span covers its remaining delay.
@@ -147,34 +118,25 @@ func (w *Wheel) After(d time.Duration, call func(any), arg any) {
 //
 //sslab:hotpath
 func (w *Wheel) place(e wentry) {
-	T := w.absTick(e.at)
-	cur := w.absTick(w.sim.Now())
-	delta := T - cur
+	T := e.at / wheelTick
+	delta := T - w.sim.now/wheelTick
 	if delta < 1 || delta >= wheelSlots<<(wheelBits*(wheelLevels-1)) {
 		w.mDirect.Inc()
-		w.sim.AtCall(e.at, e.call, e.arg)
+		w.sim.push(event{at: e.at, call: e.call, arg: e.arg})
 		return
 	}
 	level := 0
 	for delta >= wheelSlots<<(wheelBits*level) {
 		level++
 	}
-	slot := int(T>>(wheelBits*level)) & (wheelSlots - 1)
+	shift := wheelBits * level
+	slot := int(T>>shift) & wheelMask
 	w.slots[level][slot] = append(w.slots[level][slot], e) //sslab:allow-hotpath slot backing arrays are retained by pour (list[:0]) and stop growing at steady state
 	w.occ[level][slot>>6] |= 1 << (slot & 63)
 	w.count++
-	w.arm(w.dueOf(level, T))
-}
-
-// dueOf is the tick at which a level's slot holding an entry at tick T
-// must be processed: the entry's own tick at level 0, the slot's start
-// boundary above (where its contents cascade down).
-func (w *Wheel) dueOf(level int, T int64) int64 {
-	if level == 0 {
-		return T
-	}
-	shift := wheelBits * level
-	return (T >> shift) << shift
+	// A level-l slot is due at its start boundary (the entry's own tick
+	// at level 0), where its contents cascade down.
+	w.arm(T >> shift << shift)
 }
 
 // arm schedules an anchor wake-up at tick d unless an earlier (or
@@ -195,7 +157,7 @@ func (w *Wheel) arm(d int64) {
 		a = &anchorArg{w: w, tick: d}
 	}
 	w.mAnchors.Inc()
-	w.sim.AtCall(w.tickTime(d), runWheelAnchor, a)
+	w.sim.push(event{at: d * wheelTick, call: runWheelAnchor, arg: a})
 }
 
 // runWheelAnchor is the netsim.AtCall trampoline for anchor wake-ups.
@@ -212,42 +174,65 @@ func runWheelAnchor(x any) {
 	w.advance()
 }
 
-// advance processes every slot whose due tick has been reached —
-// releasing level-0 entries to the Sim heap and cascading higher-level
-// slots downward — then re-arms for the next occupied boundary.
-// Scanning occupancy bitmaps keeps the pass proportional to occupied
-// slots, not slot count.
+// advance runs at an anchor, when the clock sits exactly on tick cur.
+// Every slot due before cur was poured by an earlier anchor, so the only
+// slot a level can owe is the one under its cursor, and only when cur is
+// on that level's boundary. advance pours those (releasing level-0
+// entries to the Sim heap, cascading higher levels downward), then
+// re-arms for the earliest occupied boundary ahead of the cursors.
+//
+// Between anchors, level l's occupied slots hold entries whose tick
+// k = T>>(8l) lies in [(cur>>8l)+1, (cur>>8l)+256], so a slot's index
+// alone fixes its k: nothing here reads an entry.
 //
 //sslab:hotpath
 func (w *Wheel) advance() {
-	cur := w.absTick(w.sim.Now())
-	// Highest level first, so cascaded entries land in lower levels
-	// before those are scanned in the same pass.
+	cur := w.sim.now / wheelTick
+	// Highest level first: a cascade at cur files entries into lower
+	// levels strictly after cur, never into a slot due now.
 	for l := wheelLevels - 1; l >= 0; l-- {
-		for wd := range w.occ[l] {
-			for b := w.occ[l][wd]; b != 0; b &= b - 1 {
-				slot := wd<<6 + bits.TrailingZeros64(b)
-				if w.dueOf(l, w.absTick(w.slots[l][slot][0].at)) <= cur {
-					w.pour(l, slot)
-				}
-			}
+		shift := wheelBits * l
+		if cur&(1<<shift-1) != 0 {
+			continue
+		}
+		if slot := int(cur>>shift) & wheelMask; w.occ[l][slot>>6]&(1<<(slot&63)) != 0 {
+			w.pour(l, slot)
 		}
 	}
-	// Re-arm for the earliest remaining boundary.
 	due := int64(math.MaxInt64)
 	for l := 0; l < wheelLevels; l++ {
-		for wd := range w.occ[l] {
-			for b := w.occ[l][wd]; b != 0; b &= b - 1 {
-				slot := wd<<6 + bits.TrailingZeros64(b)
-				if d := w.dueOf(l, w.absTick(w.slots[l][slot][0].at)); d < due {
-					due = d
-				}
+		shift := wheelBits * l
+		base := cur>>shift + 1
+		if off := w.nextOccupied(l, int(base)&wheelMask); off >= 0 {
+			if d := (base + int64(off)) << shift; d < due {
+				due = d
 			}
 		}
 	}
 	if due != math.MaxInt64 {
 		w.arm(due)
 	}
+}
+
+// nextOccupied returns the distance, in slots, from start to level l's
+// first occupied slot, searching circularly (start itself included,
+// start-1 last); -1 if the level is empty.
+func (w *Wheel) nextOccupied(l, start int) int {
+	occ := &w.occ[l]
+	wd, bit := start>>6, start&63
+	if b := occ[wd] >> bit; b != 0 {
+		return bits.TrailingZeros64(b)
+	}
+	for i := 1; i <= wheelWords; i++ {
+		b := occ[(wd+i)&(wheelWords-1)]
+		if i == wheelWords {
+			b &= 1<<bit - 1 // back at start's own word: only the slots before it
+		}
+		if b != 0 {
+			return i*64 - bit + bits.TrailingZeros64(b)
+		}
+	}
+	return -1
 }
 
 // pour empties one slot: level 0 releases entries to the Sim heap in
@@ -263,7 +248,7 @@ func (w *Wheel) pour(level, slot int) {
 		sortEntries(list)
 		for i := range list {
 			w.count--
-			w.sim.AtCall(list[i].at, list[i].call, list[i].arg)
+			w.sim.push(event{at: list[i].at, call: list[i].call, arg: list[i].arg})
 		}
 	} else {
 		w.mCascaded.Add(int64(len(list)))
@@ -288,7 +273,7 @@ func sortEntries(list []wentry) {
 	for i := 1; i < len(list); i++ {
 		e := list[i]
 		j := i - 1
-		for j >= 0 && (list[j].at.After(e.at) || (list[j].at.Equal(e.at) && list[j].seq > e.seq)) {
+		for j >= 0 && (list[j].at > e.at || (list[j].at == e.at && list[j].seq > e.seq)) {
 			list[j+1] = list[j]
 			j--
 		}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -202,29 +203,40 @@ func TestSPRTNeedsSetForStatisticalDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h1 := map[string]float64{"RST": 13.0 / 16, "TIMEOUT": 2.0 / 16, "FIN": 1.0 / 16}
 	h0 := map[string]float64{"RST": 0.3, "TIMEOUT": 0.4, "FIN": 0.1, "DATA": 0.2}
-	draw := func(m map[string]float64) string {
+	// Outcomes are drawn in sorted key order: map order would give the
+	// fixed seed a different sequence on every run.
+	keys := make([]string, 0, len(h1))
+	for k := range h1 {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	draw := func() string {
 		x := rng.Float64()
 		acc := 0.0
-		for k, p := range m {
-			acc += p
+		for _, k := range keys {
+			acc += h1[k]
 			if x < acc {
 				return k
 			}
 		}
 		return "RST"
 	}
-	total, trials := 0, 200
+	const beta = 0.01 // the SPRT's default false-negative bound
+	total, rejected, trials := 0, 0, 200
 	for i := 0; i < trials; i++ {
 		s := &SPRT{H1: h1, H0: h0}
 		for {
-			if v := s.Observe(draw(h1)); v != Undecided {
+			if v := s.Observe(draw()); v != Undecided {
 				if v != AcceptH1 {
-					t.Fatal("true H1 rejected")
+					rejected++
 				}
 				break
 			}
 		}
 		total += s.N()
+	}
+	if limit := int(math.Ceil(beta * float64(trials))); rejected > limit {
+		t.Errorf("true H1 rejected in %d of %d trials, want at most %d (Beta = %v)", rejected, trials, limit, beta)
 	}
 	mean := float64(total) / float64(trials)
 	if mean < 2 || mean > 40 {
