@@ -89,6 +89,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		"AEADConnWrite":      benchAEADConnWrite,
 		"AEADSeal":           benchAEADSeal,
 		"AEADOpen":           benchAEADOpen,
+		"EntropyPayload":     benchEntropyPayload,
 	})
 }
 

@@ -38,6 +38,7 @@ func BenchmarkHotPath(b *testing.B) {
 	b.Run("AEADConnWrite", benchAEADConnWrite)
 	b.Run("AEADSeal", benchAEADSeal)
 	b.Run("AEADOpen", benchAEADOpen)
+	b.Run("EntropyPayload", benchEntropyPayload)
 }
 
 // benchGFWOnFlow drives the full passive path — Connect → middlebox
@@ -401,6 +402,35 @@ func benchAEADOpen(b *testing.B) {
 		dst, err = aead.Open(dst[:0], nonce, ct, nil)
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchEntropyPayload times entropy-targeted payload synthesis with the
+// sink experiments' call shapes, alternating Exp 2's (1–1000 bytes at
+// 1.2 bits/byte) and Exp 3's (1–2000 bytes at a uniform target in
+// [0, 8]). Budget: 1 alloc/op, the returned payload.
+func benchEntropyPayload(b *testing.B) {
+	type call struct {
+		n      int
+		target float64
+	}
+	rng := rand.New(rand.NewSource(17))
+	calls := make([]call, 1024)
+	for i := range calls {
+		if i%2 == 0 {
+			calls[i] = call{1 + rng.Intn(1000), 1.2}
+		} else {
+			calls[i] = call{1 + rng.Intn(2000), rng.Float64() * 8}
+		}
+	}
+	gen := entropy.NewGenerator(19)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := calls[i%len(calls)]
+		if len(gen.Payload(c.n, c.target)) != c.n {
+			b.Fatal("payload length differs from the request")
 		}
 	}
 }

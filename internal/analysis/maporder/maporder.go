@@ -59,8 +59,8 @@ var printFuncs = map[string]bool{
 }
 
 // sinkMethods are method names whose call order changes the result:
-// stream writers and order-sensitive estimators (the P² quantile
-// estimator's state depends on observation order).
+// stream writers and order-sensitive estimators (a streaming quantile
+// estimator's state can depend on observation order).
 var sinkMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Observe": true,

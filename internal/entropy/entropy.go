@@ -7,8 +7,8 @@ package entropy
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // Shannon is the detector's innermost loop (it runs once per recorded-
@@ -114,39 +114,69 @@ func (g *Generator) Payload(n int, target float64) []byte {
 	}
 	counts := bestCounts(n, k, target)
 
-	// Map counts onto k+1 distinct random byte values and shuffle.
-	alphabet := g.rng.Perm(256)[:len(counts)]
-	sort.Ints(alphabet)
-	out := make([]byte, 0, n)
-	for i, c := range counts {
-		for j := 0; j < c; j++ {
-			out = append(out, byte(alphabet[i]))
+	// Map counts onto k+1 distinct random byte values in ascending order
+	// and shuffle. The draws are exactly those of rng.Perm(256) followed
+	// by rng.Shuffle(n, swap), so the bytes and the RNG state afterwards
+	// match that library-call formulation (pinned by
+	// TestPayloadMatchesMathRand), without its slices and swap closure.
+	var perm [256]uint8
+	for i := 0; i < 256; i++ {
+		j := g.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = uint8(i)
+	}
+	var alphabet [4]uint64 // bitmap of the first k+1 permuted values
+	for _, v := range perm[:k+1] {
+		alphabet[v>>6] |= 1 << (v & 63)
+	}
+	out := make([]byte, n)
+	pos, sym := 0, 0
+	for w, word := range alphabet {
+		for ; word != 0; word &= word - 1 {
+			b := byte(w<<6 | bits.TrailingZeros64(word))
+			run := out[pos : pos+counts[sym]]
+			for x := range run {
+				run[x] = b
+			}
+			pos += len(run)
+			sym++
 		}
 	}
-	g.rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	// rand.Shuffle's loop for n < 2³¹; payloads are packet-sized.
+	for i := n - 1; i > 0; i-- {
+		j := g.int31n(int32(i + 1))
+		out[i], out[j] = out[j], out[i]
+	}
 	return out
+}
+
+// int31n is math/rand's unexported Lemire reduction, the one
+// rand.Shuffle draws its indices with; it must stay a verbatim copy.
+func (g *Generator) int31n(n int32) int32 {
+	v := g.rng.Uint32()
+	prod := uint64(v) * uint64(n)
+	low := uint32(prod)
+	if low < uint32(n) {
+		thresh := uint32(-n) % uint32(n)
+		for low < thresh {
+			v = g.rng.Uint32()
+			prod = uint64(v) * uint64(n)
+			low = uint32(prod)
+		}
+	}
+	return int32(prod >> 32)
 }
 
 // bestCounts returns per-symbol counts over k+1 symbols summing to n whose
 // empirical entropy is as close to target as integer quantization allows.
-func bestCounts(n, k int, target float64) []int {
-	build := func(c int) []int {
-		counts := make([]int, k+1)
-		rest := n - c
-		for i := 0; i < k; i++ {
-			counts[i] = rest / k
-			if i < rest%k {
-				counts[i]++
-			}
-		}
-		counts[k] = c
-		return counts
-	}
+// With c copies of the rarer symbol, the rest n-c split as evenly as
+// possible over k symbols: r = (n-c)%k of them hold q+1, the others q.
+func bestCounts(n, k int, target float64) [256]int {
 	lo, hi := 0, n/(k+1) // at hi the distribution is uniform over k+1
 	bestC, bestErr := 0, math.Inf(1)
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		h := entropyOfCounts(build(mid), n)
+		h := countsEntropy(n, k, mid)
 		if e := math.Abs(h - target); e < bestErr {
 			bestC, bestErr = mid, e
 		}
@@ -156,17 +186,38 @@ func bestCounts(n, k int, target float64) []int {
 			hi = mid - 1
 		}
 	}
-	return build(bestC)
+	var counts [256]int
+	rest := n - bestC
+	for i := 0; i < k; i++ {
+		counts[i] = rest / k
+		if i < rest%k {
+			counts[i]++
+		}
+	}
+	counts[k] = bestC
+	return counts
 }
 
-func entropyOfCounts(counts []int, n int) float64 {
+// countsEntropy is the Shannon entropy of the counts bestCounts builds
+// for c. Each term -p·log2(p) is subtracted once per nonzero count, in
+// symbol order, so the float result is bit-identical to summing over the
+// built counts; only the three distinct logarithms are computed.
+func countsEntropy(n, k, c int) float64 {
+	rest := n - c
+	q, r := rest/k, rest%k
+	pHi, pLo, pC := float64(q+1)/float64(n), float64(q)/float64(n), float64(c)/float64(n)
+	lHi, lLo, lC := math.Log2(pHi), math.Log2(pLo), math.Log2(pC)
 	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
+	for i := 0; i < r; i++ {
+		h -= pHi * lHi
+	}
+	if q != 0 {
+		for i := r; i < k; i++ {
+			h -= pLo * lLo
 		}
-		p := float64(c) / float64(n)
-		h -= p * math.Log2(p)
+	}
+	if c != 0 {
+		h -= pC * lC
 	}
 	return h
 }

@@ -1,7 +1,10 @@
 package entropy
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -174,4 +177,137 @@ func TestShannonMatchesDirectFormula(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referencePayload is the library-call formulation of Generator.Payload,
+// through math/rand's Perm and Shuffle. Payload must consume exactly
+// these draws and return exactly these bytes: every pinned sink result
+// depends on it.
+func referencePayload(rng *rand.Rand, n int, target float64) []byte {
+	if n <= 0 {
+		return nil
+	}
+	if target < 0 {
+		target = 0
+	}
+	if target > 8 {
+		target = 8
+	}
+	if maxH := math.Log2(float64(n)); target > maxH {
+		target = maxH
+	}
+	k := int(math.Pow(2, target))
+	if k < 1 {
+		k = 1
+	}
+	if k > 255 {
+		k = 255
+	}
+	counts := referenceBestCounts(n, k, target)
+
+	alphabet := rng.Perm(256)[:len(counts)]
+	sort.Ints(alphabet)
+	out := make([]byte, 0, n)
+	for i, c := range counts {
+		for j := 0; j < c; j++ {
+			out = append(out, byte(alphabet[i]))
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func referenceBestCounts(n, k int, target float64) []int {
+	build := func(c int) []int {
+		counts := make([]int, k+1)
+		rest := n - c
+		for i := 0; i < k; i++ {
+			counts[i] = rest / k
+			if i < rest%k {
+				counts[i]++
+			}
+		}
+		counts[k] = c
+		return counts
+	}
+	lo, hi := 0, n/(k+1)
+	bestC, bestErr := 0, math.Inf(1)
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		h := referenceEntropyOfCounts(build(mid), n)
+		if e := math.Abs(h - target); e < bestErr {
+			bestC, bestErr = mid, e
+		}
+		if h < target {
+			lo = mid + 1
+		} else {
+			hi = mid - 1
+		}
+	}
+	return build(bestC)
+}
+
+func referenceEntropyOfCounts(counts []int, n int) float64 {
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / float64(n)
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
+// payloadMatchesReference runs Payload and referencePayload in lockstep
+// from the same seed and fails on the first difference in bytes or in
+// the RNG state left behind.
+func payloadMatchesReference(t testing.TB, g, ref *Generator, n int, target float64) {
+	t.Helper()
+	got, want := g.Payload(n, target), referencePayload(ref.rng, n, target)
+	if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+		t.Fatalf("Payload(%d, %v): bytes differ from the math/rand reference", n, target)
+	}
+	if a, b := g.rng.Int63(), ref.rng.Int63(); a != b {
+		t.Fatalf("Payload(%d, %v): RNG state differs afterwards (%d vs %d)", n, target, a, b)
+	}
+}
+
+// TestPayloadMatchesMathRand pins Payload draw for draw to the
+// Perm/Shuffle reference over 100k random calls plus the edges: the
+// shortest payloads, every clamp, payloads past the c·log2(c) table, and
+// non-finite targets.
+func TestPayloadMatchesMathRand(t *testing.T) {
+	const seeds, perSeed = 200, 500
+	for seed := int64(1); seed <= seeds; seed++ {
+		g, ref := NewGenerator(seed), NewGenerator(seed)
+		args := rand.New(rand.NewSource(-seed))
+		for i := 0; i < perSeed; i++ {
+			payloadMatchesReference(t, g, ref, 1+args.Intn(2500), -0.5+9*args.Float64())
+		}
+	}
+	g, ref := NewGenerator(99), NewGenerator(99)
+	for _, n := range []int{-1, 0, 1, 2, 3, 255, 256, 257, 511, 4096, 4097, 12000} {
+		for _, target := range []float64{
+			-3, 0, 0.5, 1, math.Log2(float64(n)) + 0.5, // past log2(n)
+			7.99, 7.999, 8, 8.5, 100, // k = 255 clamp and target > 8
+			math.NaN(), math.Inf(1), math.Inf(-1),
+		} {
+			payloadMatchesReference(t, g, ref, n, target)
+		}
+	}
+}
+
+// FuzzPayloadMatchesMathRand extends TestPayloadMatchesMathRand to
+// arbitrary seeds, lengths and targets.
+func FuzzPayloadMatchesMathRand(f *testing.F) {
+	f.Add(int64(1), 1, 8.0)
+	f.Add(int64(2), 1000, 3.3)
+	f.Add(int64(3), 5000, 7.995)
+	f.Add(int64(4), 2, math.NaN())
+	f.Add(int64(5), 0, math.Inf(1))
+	f.Fuzz(func(t *testing.T, seed int64, n int, target float64) {
+		n %= 1 << 14
+		payloadMatchesReference(t, NewGenerator(seed), NewGenerator(seed), n, target)
+	})
 }

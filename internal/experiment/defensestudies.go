@@ -54,7 +54,7 @@ func BanStudy(cfg BanStudyConfig) (*BanStudyReport, error) {
 	net.AddMiddlebox(g)
 	server := netsim.Endpoint{IP: "178.62.60.1", Port: 443}
 	client := netsim.Endpoint{IP: "150.109.60.1", Port: 40000}
-	host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
+	host := &ServerHost{Sim: sim, Sink: true}
 	net.AddHost(server, host)
 
 	gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "banstudy.entropy"))
@@ -140,7 +140,7 @@ func MimicStudy(cfg MimicStudyConfig) (*MimicStudyReport, error) {
 		net.AddMiddlebox(g)
 		server := netsim.Endpoint{IP: "178.62.61.1", Port: 443}
 		client := netsim.Endpoint{IP: "150.109.61.1", Port: 40000}
-		host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
+		host := &ServerHost{Sim: sim, Sink: true}
 		net.AddHost(server, host)
 
 		tg := trafficgen.New(seedfork.Fork(cfg.Seed, "mimic.trafficgen", cell))

@@ -72,6 +72,11 @@ type ServerHost struct {
 	// random bytes to every prober.
 	RespondAll bool
 
+	// seen keys the genuine payloads served, for the replay check on the
+	// probe path. Only hosts with a Server reach that check, so only they
+	// record (and NewServerHost allocates the map); keying the rule on
+	// Sink would break Exp 1, which flips a server-less sink host to
+	// RespondAll mid-run.
 	seen map[uint64]struct{}
 
 	// ProbesSeen counts probe flows delivered to this host.
@@ -106,7 +111,9 @@ func (h *ServerHost) HandleFlow(f *netsim.Flow) netsim.Outcome {
 		if !h.Sink && h.Server != nil {
 			h.Server.RegisterNonce(f.FirstPayload, now)
 		}
-		h.seen[payloadKey(f.FirstPayload)] = struct{}{}
+		if h.Server != nil {
+			h.seen[payloadKey(f.FirstPayload)] = struct{}{}
+		}
 		if h.Sink {
 			return netsim.Outcome{Reaction: reaction.Timeout}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sslab/internal/gfw"
+	"sslab/internal/netsim"
 	"sslab/internal/probe"
 	"sslab/internal/reaction"
 )
@@ -374,5 +375,30 @@ func TestProbeCost(t *testing.T) {
 	}
 	if out := r.Render(); !strings.Contains(out, "sequential") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestSinkHostFlipWithoutSeenMap drives Exp 1's sink → responding flip
+// on a host built without a seen map: genuine flows before and after the
+// flip must not record payloads, because only hosts with a Server read
+// them back. A rule keyed on Sink would write to the nil map here.
+func TestSinkHostFlipWithoutSeenMap(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("server-less host recorded a payload: %v", r)
+		}
+	}()
+	host := &ServerHost{Sim: netsim.NewSim(), Sink: true}
+	genuine := &netsim.Flow{FirstPayload: []byte("first flight")}
+	probeFlow := &netsim.Flow{FirstPayload: []byte("first flight"), Probe: true}
+	if got := host.HandleFlow(genuine); got.Reaction != reaction.Timeout {
+		t.Errorf("sink host answered a client with %v, want timeout", got.Reaction)
+	}
+	host.Sink, host.RespondAll = false, true
+	if got := host.HandleFlow(genuine); got.Reaction != reaction.Data || got.ResponseLen != 1200 {
+		t.Errorf("responding host answered a client with %+v, want 1200 data bytes", got)
+	}
+	if got := host.HandleFlow(probeFlow); got.Reaction != reaction.Data || got.ResponseLen != 500 {
+		t.Errorf("responding host answered a probe with %+v, want 500 data bytes", got)
 	}
 }

@@ -98,7 +98,7 @@ func FPStudy(cfg FPStudyConfig) (*FPStudyReport, error) {
 		net.AddMiddlebox(g)
 		server := netsim.Endpoint{IP: fmt.Sprintf("178.62.50.%d", i+1), Port: 443}
 		client := netsim.Endpoint{IP: fmt.Sprintf("150.109.50.%d", i+1), Port: 40000}
-		host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
+		host := &ServerHost{Sim: sim, Sink: true}
 		net.AddHost(server, host)
 
 		tg := trafficgen.New(seedfork.Fork(cfg.Seed, "fpstudy.trafficgen", int64(i)))

@@ -178,7 +178,7 @@ func ShadowsocksExperiment(cfg ShadowsocksConfig) (*ShadowsocksReport, error) {
 
 	// The control host: same datacenter, never connected to.
 	control := netsim.Endpoint{IP: "178.62.1.250", Port: 8388}
-	controlHost := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
+	controlHost := &ServerHost{Sim: sim, Sink: true}
 	net.AddHost(control, controlHost)
 
 	// Drive each pair's curl/browse loop.

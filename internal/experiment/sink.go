@@ -96,7 +96,7 @@ func SinkExperiments(cfg SinkConfig) (*SinkReport, error) {
 
 	server := netsim.Endpoint{IP: "178.62.10.1", Port: 443}
 	client := netsim.Endpoint{IP: "150.109.10.1", Port: 40000}
-	host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
+	host := &ServerHost{Sim: sim, Sink: true}
 	net.AddHost(server, host)
 
 	gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "sink.exp1.entropy"))
@@ -197,7 +197,7 @@ func runSinkVariant(cfg SinkConfig, variant string, payload func(*entropy.Genera
 	net.AddMiddlebox(g)
 	server := netsim.Endpoint{IP: "178.62.10.2", Port: 443}
 	client := netsim.Endpoint{IP: "150.109.10.2", Port: 40001}
-	host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
+	host := &ServerHost{Sim: sim, Sink: true}
 	net.AddHost(server, host)
 
 	if payload == nil {
@@ -231,7 +231,7 @@ func runExp3(cfg SinkConfig) (ExpRow, *capture.Log, []int, error) {
 	net.AddMiddlebox(g)
 	server := netsim.Endpoint{IP: "178.62.10.3", Port: 443}
 	client := netsim.Endpoint{IP: "150.109.10.3", Port: 40002}
-	host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
+	host := &ServerHost{Sim: sim, Sink: true}
 	net.AddHost(server, host)
 
 	gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "sink.exp3.entropy"))

@@ -448,13 +448,6 @@ func New(env Env, opts ...Option) *GFW {
 	return g
 }
 
-// NewWithConfig creates a GFW from the pre-options positional signature.
-//
-// Deprecated: use New(Env{Sim: sim, Net: net}, WithConfig(cfg)).
-func NewWithConfig(sim *netsim.Sim, net *netsim.Network, cfg Config) *GFW {
-	return New(Env{Sim: sim, Net: net}, WithConfig(cfg))
-}
-
 // slabChunk is the recording slab's chunk size. Payloads are at most
 // ~1500 bytes, so one chunk amortizes hundreds of recordings.
 const slabChunk = 64 * 1024
