@@ -22,6 +22,7 @@ import (
 	"sslab/internal/reaction"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssproto"
+	"sslab/internal/trafficgen"
 )
 
 func BenchmarkHotPath(b *testing.B) {
@@ -39,6 +40,7 @@ func BenchmarkHotPath(b *testing.B) {
 	b.Run("AEADSeal", benchAEADSeal)
 	b.Run("AEADOpen", benchAEADOpen)
 	b.Run("EntropyPayload", benchEntropyPayload)
+	b.Run("TrafficgenFirstPacket", benchTrafficgenFirstPacket)
 }
 
 // benchGFWOnFlow drives the full passive path — Connect → middlebox
@@ -432,5 +434,54 @@ func benchEntropyPayload(b *testing.B) {
 		if len(gen.Payload(c.n, c.target)) != c.n {
 			b.Fatal("payload length differs from the request")
 		}
+	}
+}
+
+// benchTrafficgenFirstPacket times first-flight synthesis over the
+// fleet's default mix: each op is one AppendProtocolFirstPacket with a
+// server cipher drawn by fleet.DefaultMix weight (libev-old and
+// sspython on aes-256-cfb, libev-new on aes-256-gcm, Outline on
+// chacha20-ietf-poly1305, ShadowsocksR on aes-256-ctr) and the curl
+// loop or, for 30% of users, Alexa browsing. Budget: 0 allocs/op into
+// a reused buffer.
+func benchTrafficgenFirstPacket(b *testing.B) {
+	mix := []struct {
+		method string
+		weight float64
+	}{
+		{"aes-256-cfb", 0.15}, {"aes-256-gcm", 0.30}, {"chacha20-ietf-poly1305", 0.20},
+		{"aes-256-cfb", 0.20}, {"aes-256-ctr", 0.15},
+	}
+	type flow struct {
+		spec sscrypto.Spec
+		wl   trafficgen.Workload
+	}
+	rng := rand.New(rand.NewSource(23))
+	flows := make([]flow, 1024)
+	for i := range flows {
+		x, k := rng.Float64(), len(mix)-1
+		for j, m := range mix {
+			if x < m.weight {
+				k = j
+				break
+			}
+			x -= m.weight
+		}
+		spec, err := sscrypto.Lookup(mix[k].method)
+		if err != nil {
+			b.Fatal(err)
+		}
+		flows[i] = flow{spec: spec, wl: trafficgen.CurlLoop}
+		if rng.Float64() < 0.3 {
+			flows[i].wl = trafficgen.BrowseAlexa
+		}
+	}
+	tg := trafficgen.New(29)
+	buf := make([]byte, 0, 2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := flows[i%len(flows)]
+		buf = tg.AppendProtocolFirstPacket(buf[:0], f.spec, f.wl)
 	}
 }

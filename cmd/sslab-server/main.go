@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"sslab/internal/netsim"
 	"sslab/internal/reaction"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssserver"
@@ -60,7 +61,8 @@ func main() {
 	}
 
 	cfg := ssserver.Config{
-		Method: *method, Password: *password, Profile: p, Timeout: *timeout,
+		Method: *method, Password: *password, Profile: p,
+		Timeouts: netsim.Timeouts{Handshake: *timeout},
 	}
 	if *verbose {
 		cfg.Logf = log.Printf

@@ -19,6 +19,9 @@ import (
 // Filter is a single Bloom filter with double-hashing (Kirsch–Mitzenmacher)
 // index derivation.
 type Filter struct {
+	// bits is allocated by the first Add: a population-scale fleet
+	// builds one ping-pong pair per server, and most second generations
+	// are never written.
 	bits    []uint64
 	nbits   uint64
 	k       int
@@ -43,12 +46,12 @@ func New(capacity int, fpRate float64) *Filter {
 	if k < 1 {
 		k = 1
 	}
-	return &Filter{
-		bits:  make([]uint64, (m+63)/64),
-		nbits: m,
-		k:     k,
-		cap:   capacity,
-	}
+	return &Filter{nbits: m, k: k, cap: capacity}
+}
+
+// alloc gives the filter its all-zero bit array.
+func (f *Filter) alloc() {
+	f.bits = make([]uint64, (f.nbits+63)/64)
 }
 
 // indexes derives the k bit positions for data via two FNV-1a hashes.
@@ -73,6 +76,9 @@ func (f *Filter) indexes(data []byte, idx []uint64) []uint64 {
 
 // Add inserts data into the filter.
 func (f *Filter) Add(data []byte) {
+	if f.bits == nil {
+		f.alloc()
+	}
 	var scratch [16]uint64
 	for _, i := range f.indexes(data, scratch[:0]) {
 		f.bits[i/64] |= 1 << (i % 64)
@@ -83,6 +89,9 @@ func (f *Filter) Add(data []byte) {
 // Test reports whether data may have been added (with the configured
 // false-positive probability) — false means definitely never added.
 func (f *Filter) Test(data []byte) bool {
+	if f.bits == nil {
+		return false // nothing was ever added
+	}
 	var scratch [16]uint64
 	for _, i := range f.indexes(data, scratch[:0]) {
 		if f.bits[i/64]&(1<<(i%64)) == 0 {
@@ -98,7 +107,7 @@ func (f *Filter) Len() int { return f.entries }
 // Cap returns the design capacity.
 func (f *Filter) Cap() int { return f.cap }
 
-// Reset clears the filter.
+// Reset clears the filter. It is a no-op on a filter never added to.
 func (f *Filter) Reset() {
 	for i := range f.bits {
 		f.bits[i] = 0

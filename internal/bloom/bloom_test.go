@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -140,5 +141,65 @@ func BenchmarkTest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		binary.LittleEndian.PutUint64(data, uint64(i))
 		f.Test(data)
+	}
+}
+
+// TestLazyMatchesEager checks the lazily allocated bit arrays against
+// eagerly allocated references: a random TestAndAdd/Reset/State→Restore
+// sequence over small ping-pong pairs, where rotations reset untouched
+// and written generations alike, gives the same answers and the same
+// serialized state at every step.
+func TestLazyMatchesEager(t *testing.T) {
+	eager := func(p *PingPong) {
+		for _, g := range p.gen {
+			if g.bits == nil {
+				g.alloc()
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	lazy, ref := NewPingPong(50, 1e-3), NewPingPong(50, 1e-3)
+	eager(ref)
+	for i := 0; i < 20000; i++ {
+		k := key(rng.Intn(400))
+		switch op := rng.Intn(100); {
+		case op < 90:
+			if got, want := lazy.TestAndAdd(k), ref.TestAndAdd(k); got != want {
+				t.Fatalf("step %d: TestAndAdd = %v, eager reference %v", i, got, want)
+			}
+		case op < 93:
+			g := rng.Intn(2)
+			lazy.gen[g].Reset()
+			ref.gen[g].Reset()
+		case op < 97:
+			lazy = RestorePingPong(lazy.State())
+			ref = RestorePingPong(ref.State())
+			eager(ref)
+		default:
+			lazy, ref = NewPingPong(50, 1e-3), NewPingPong(50, 1e-3)
+			eager(ref)
+		}
+		if got, want := lazy.Test(k), ref.Test(k); got != want || lazy.Len() != ref.Len() {
+			t.Fatalf("step %d: Test = %v Len %d, eager reference %v Len %d", i, got, lazy.Len(), want, ref.Len())
+		}
+		if got, want := fmt.Sprint(lazy.State()), fmt.Sprint(ref.State()); got != want {
+			t.Fatalf("step %d: state %s, eager reference %s", i, got, want)
+		}
+	}
+}
+
+// TestUntouchedFilterStaysUnallocated pins the memory saving: a filter
+// that is only tested, reset and snapshotted never allocates bits.
+func TestUntouchedFilterStaysUnallocated(t *testing.T) {
+	f := New(1<<16, 1e-6)
+	f.Test([]byte("x"))
+	f.Reset()
+	f = RestoreFilter(f.State())
+	if f.bits != nil {
+		t.Fatal("untouched filter allocated its bit array")
+	}
+	f.Add([]byte("x"))
+	if g := RestoreFilter(f.State()); g.bits == nil || !g.Test([]byte("x")) {
+		t.Fatal("restored filter lost its entry")
 	}
 }

@@ -31,14 +31,17 @@ func (f *Filter) State() FilterState {
 	return st
 }
 
-// RestoreFilter reconstructs a Filter from a captured state.
+// RestoreFilter reconstructs a Filter from a captured state. Like New,
+// it leaves the bit array unallocated while the filter is empty.
 func RestoreFilter(st FilterState) *Filter {
 	f := &Filter{
-		bits:    make([]uint64, (st.NBits+63)/64),
 		nbits:   st.NBits,
 		k:       st.K,
 		entries: st.Entries,
 		cap:     st.Cap,
+	}
+	if st.Entries > 0 || len(st.Words) > 0 {
+		f.alloc()
 	}
 	for _, w := range st.Words {
 		if int(w.Index) < len(f.bits) {

@@ -2,7 +2,6 @@ package gfw
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -126,18 +125,16 @@ func (g *GFW) CaptureState() State {
 // RestoreState overwrites a freshly constructed censor's mutable state
 // with st. The receiver must have been built by New with the same
 // Config (and on a simulator at the same virtual time) as the captured
-// one; stream positions are restored by fast-forwarding fresh sources,
-// so restore cost is proportional to simulated progress, not wall
-// time. Metrics instruments deliberately restart cold — they feed
+// one; stream positions are restored by reseeding the sources and
+// fast-forwarding them, so restore cost is proportional to simulated
+// progress, not wall time. Metrics instruments deliberately restart cold — they feed
 // observability sinks, not reports.
 func (g *GFW) RestoreState(st State) error {
 	if len(st.StageRecs) != len(g.stageRecs) {
 		return fmt.Errorf("gfw: snapshot has %d stage counters, config builds %d — detector chain mismatch", len(st.StageRecs), len(g.stageRecs))
 	}
-	src := seedfork.NewCountedSource(g.cfg.Seed)
-	src.Skip(st.RNGDraws)
-	g.src = src
-	g.rng = rand.New(src)
+	g.src.Seed(g.cfg.Seed)
+	g.src.Skip(st.RNGDraws)
 	g.rd = seedfork.ByteReader{Val: st.ReadVal, Pos: st.ReadPos}
 	if cur := g.poolSrc.Draws(); st.PoolDraws < cur {
 		return fmt.Errorf("gfw: snapshot pool position %d predates pool construction (%d draws)", st.PoolDraws, cur)

@@ -8,9 +8,8 @@
 package trafficgen
 
 import (
-	"fmt"
-	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 
 	"sslab/internal/seedfork"
@@ -61,12 +60,12 @@ var sites = []string{
 // Generator produces first flights deterministically from a seed.
 type Generator struct {
 	seed int64
-	// src is the counted source behind rng, so the generator's stream
-	// position — (seed, draw count) plus the byte reader's leftover —
-	// serializes into RNGState for engine snapshots.
+	// src draws every random value, so the generator's stream position
+	// — (seed, draw count) plus the byte reader's leftover — serializes
+	// into RNGState for engine snapshots. Its Intn and Int31n replay
+	// rand.(*Rand) over rand.NewSource(seed) draw for draw.
 	src *seedfork.CountedSource
 	rd  seedfork.ByteReader
-	rng *rand.Rand
 	// scratch holds the intermediate plaintext of AppendFirstWirePacket
 	// so the population-scale hot path reuses one buffer per generator.
 	scratch []byte
@@ -74,13 +73,12 @@ type Generator struct {
 
 // New returns a Generator.
 func New(seed int64) *Generator {
-	src := seedfork.NewCountedSource(seed)
-	return &Generator{seed: seed, src: src, rng: rand.New(src)}
+	return &Generator{seed: seed, src: seedfork.NewCountedSource(seed)}
 }
 
 // read fills p with random bytes through the serializable byte reader;
-// it produces exactly the bytes rng.Read would, but with the partially
-// consumed draw in exported state (see seedfork.ByteReader).
+// it produces exactly the bytes rand.(*Rand).Read would, but with the
+// partially consumed draw in exported state (see seedfork.ByteReader).
 func (g *Generator) read(p []byte) {
 	g.rd.Read(g.src, p)
 }
@@ -98,33 +96,75 @@ func (g *Generator) CaptureRNG() RNGState {
 }
 
 // RestoreRNG rewinds the generator to a captured stream position by
-// reconstructing the source from the seed and fast-forwarding.
+// reseeding the source and fast-forwarding.
 func (g *Generator) RestoreRNG(st RNGState) {
-	src := seedfork.NewCountedSource(g.seed)
-	src.Skip(st.Draws)
-	g.src = src
-	g.rng = rand.New(src)
+	g.src.Seed(g.seed)
+	g.src.Skip(st.Draws)
 	g.rd = seedfork.ByteReader{Val: st.ReadVal, Pos: st.ReadPos}
 }
 
 // curlSites are the three targets §3.1's curl loops fetched.
 var curlSites = []string{"https://www.wikipedia.org", "http://example.com", "https://gfw.report"}
 
-// Target returns a host:port a client would visit under the workload.
-func (g *Generator) Target(w Workload) string {
+// siteAddr is one visitable target with its SOCKS address encoding,
+// built once at init so a flow appends stored bytes instead of
+// formatting "host:port" and parsing it back.
+type siteAddr struct {
+	target string // host:port, as Target returns it
+	host   string
+	socks  []byte // socks.Addr.Append encoding
+	http   bool   // port 80: the first flight is an HTTP GET, else a ClientHello
+}
+
+// httpAddrs and httpsAddrs are sites on ports 80 and 443; curlAddrs
+// are curlSites on their schemes' ports.
+var httpAddrs, httpsAddrs, curlAddrs = sitesOnPort(sites, "80"), sitesOnPort(sites, "443"), curlSiteAddrs()
+
+func newSiteAddr(host, port string) siteAddr {
+	target := host + ":" + port
+	addr, err := socks.ParseAddr(target)
+	if err != nil {
+		panic(err) // the site lists above are all well-formed
+	}
+	return siteAddr{target: target, host: addr.Host, socks: addr.Append(nil), http: addr.Port == 80}
+}
+
+func sitesOnPort(hosts []string, port string) []siteAddr {
+	out := make([]siteAddr, len(hosts))
+	for i, h := range hosts {
+		out[i] = newSiteAddr(h, port)
+	}
+	return out
+}
+
+func curlSiteAddrs() []siteAddr {
+	out := make([]siteAddr, len(curlSites))
+	for i, site := range curlSites {
+		scheme, host, _ := strings.Cut(site, "://")
+		port := "443"
+		if scheme == "http" {
+			port = "80"
+		}
+		out[i] = newSiteAddr(host, port)
+	}
+	return out
+}
+
+// target draws the site a client visits under the workload.
+func (g *Generator) target(w Workload) *siteAddr {
 	switch w {
 	case CurlHTTP:
-		return sites[g.rng.Intn(len(sites))] + ":80"
+		return &httpAddrs[g.src.Intn(len(httpAddrs))]
 	case CurlLoop:
-		site := curlSites[g.rng.Intn(len(curlSites))]
-		if scheme, rest, _ := strings.Cut(site, "://"); scheme == "http" {
-			return rest + ":80"
-		} else {
-			return rest + ":443"
-		}
+		return &curlAddrs[g.src.Intn(len(curlAddrs))]
 	default:
-		return sites[g.rng.Intn(len(sites))] + ":443"
+		return &httpsAddrs[g.src.Intn(len(httpsAddrs))]
 	}
+}
+
+// Target returns a host:port a client would visit under the workload.
+func (g *Generator) Target(w Workload) string {
+	return g.target(w).target
 }
 
 // PlaintextFirstFlight builds the plaintext a Shadowsocks client sends in
@@ -140,26 +180,35 @@ func (g *Generator) PlaintextFirstFlight(w Workload) []byte {
 // mid-stream; the append form exists for population-scale callers that
 // amortize one buffer over millions of flows.
 func (g *Generator) AppendPlaintextFirstFlight(dst []byte, w Workload) []byte {
-	target := g.Target(w)
-	addr, err := socks.ParseAddr(target)
-	if err != nil {
-		panic(err) // targets above are all well-formed
+	a := g.target(w)
+	return g.appendWebRequest(append(dst, a.socks...), a)
+}
+
+// appendWebRequest appends the first application bytes for a: an HTTP
+// GET on port 80, a TLS ClientHello otherwise.
+func (g *Generator) appendWebRequest(dst []byte, a *siteAddr) []byte {
+	if a.http {
+		return g.appendHTTPGET(dst, a.host)
 	}
-	dst = addr.Append(dst)
-	if addr.Port == 80 {
-		return g.appendHTTPGET(dst, addr.Host)
-	}
-	return g.appendClientHello(dst, addr.Host)
+	return g.appendClientHello(dst, a.host)
 }
 
 // getPaths are the request paths the curl-like workload cycles over.
 var getPaths = []string{"/", "/index.html", "/wiki/Main_Page", "/search?q=weather", "/static/app.js"}
 
-// appendHTTPGET appends a curl-like request.
+// appendHTTPGET appends a curl-like request:
+// "GET <path> HTTP/1.1\r\nHost: <host>\r\nUser-Agent: curl/7.<50..69>.0\r\nAccept: */*\r\n\r\n",
+// drawing the path before the curl minor version.
 func (g *Generator) appendHTTPGET(dst []byte, host string) []byte {
-	return fmt.Appendf(dst,
-		"GET %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: curl/7.%d.0\r\nAccept: */*\r\n\r\n",
-		getPaths[g.rng.Intn(len(getPaths))], host, 50+g.rng.Intn(20))
+	path := getPaths[g.src.Intn(len(getPaths))]
+	minor := 50 + g.src.Intn(20)
+	dst = append(dst, "GET "...)
+	dst = append(dst, path...)
+	dst = append(dst, " HTTP/1.1\r\nHost: "...)
+	dst = append(dst, host...)
+	dst = append(dst, "\r\nUser-Agent: curl/7."...)
+	dst = strconv.AppendInt(dst, int64(minor), 10)
+	return append(dst, ".0\r\nAccept: */*\r\n\r\n"...)
 }
 
 // clientHello builds a TLS-ClientHello-shaped first flight: a 5-byte
@@ -171,7 +220,7 @@ func (g *Generator) appendHTTPGET(dst []byte, host string) []byte {
 // SNI. The resulting per-byte entropy of ≈5–6 bits is what lets the GFW's
 // entropy feature keep direct TLS below fully encrypted protocols.
 func (g *Generator) appendClientHello(dst []byte, host string) []byte {
-	body := 220 + g.rng.Intn(360)
+	body := 220 + g.src.Intn(360)
 	start := len(dst)
 	dst = append(slices.Grow(dst, 5+body), zeros[:5+body]...)
 	rec := dst[start:]
@@ -183,7 +232,9 @@ func (g *Generator) appendClientHello(dst []byte, host string) []byte {
 	nRand := len(b) / 3 // client random + session id + X25519 key share
 	g.read(b[:nRand])
 	for i := nRand; i < len(b); i++ {
-		b[i] = helloStructural[g.rng.Intn(len(helloStructural))]
+		// Int31n inlines here, so the constant modulus compiles to a
+		// multiply; it draws exactly what Intn(len(helloStructural)) would.
+		b[i] = helloStructural[g.src.Int31n(int32(len(helloStructural)))]
 	}
 	copy(b[nRand+4:], host) // plaintext SNI
 	return dst
@@ -191,7 +242,7 @@ func (g *Generator) appendClientHello(dst []byte, host string) []byte {
 
 // helloStructural are the non-random ClientHello bytes: type/length
 // framing, GREASE, suites, padding.
-var helloStructural = []byte{
+var helloStructural = [...]byte{
 	0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x13, 0x13, 0xc0,
 	0x2f, 0x30, 0xff, 0x01, 0x0a, 0x16, 0x17, 0x18, 0x00, 0x1d,
 }
@@ -266,7 +317,7 @@ func (g *Generator) AppendOpenVPNClientReset(dst []byte, tlsAuth bool) []byte {
 // the post-2021 Shadowsocks-like transports the GFW's fully-encrypted
 // heuristic targets.
 func (g *Generator) AppendObfsFirstPacket(dst []byte) []byte {
-	n := 160 + g.rng.Intn(740)
+	n := 160 + g.src.Intn(740)
 	start := len(dst)
 	dst = slices.Grow(dst, n)[:start+n]
 	g.read(dst[start:])
@@ -279,15 +330,7 @@ func (g *Generator) AppendObfsFirstPacket(dst []byte) []byte {
 // innocuous-traffic baseline detector chains are scored against for
 // false positives.
 func (g *Generator) AppendWebFirstPacket(dst []byte) []byte {
-	target := g.Target(CurlLoop)
-	addr, err := socks.ParseAddr(target)
-	if err != nil {
-		panic(err)
-	}
-	if addr.Port == 80 {
-		return g.appendHTTPGET(dst, addr.Host)
-	}
-	return g.appendClientHello(dst, addr.Host)
+	return g.appendWebRequest(dst, g.target(CurlLoop))
 }
 
 // AppendProtocolFirstPacket appends the first wire packet for any
