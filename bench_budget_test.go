@@ -91,6 +91,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		"AEADOpen":              benchAEADOpen,
 		"EntropyPayload":        benchEntropyPayload,
 		"TrafficgenFirstPacket": benchTrafficgenFirstPacket,
+		"NonceFilterReplay":     benchNonceFilterReplay,
 	})
 }
 

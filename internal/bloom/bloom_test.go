@@ -144,16 +144,16 @@ func BenchmarkTest(b *testing.B) {
 	}
 }
 
-// TestLazyMatchesEager checks the lazily allocated bit arrays against
-// eagerly allocated references: a random TestAndAdd/Reset/State→Restore
-// sequence over small ping-pong pairs, where rotations reset untouched
-// and written generations alike, gives the same answers and the same
-// serialized state at every step.
+// TestLazyMatchesEager checks lazily allocated, sparse-first filters
+// against filters forced into the dense bit array up front: a random
+// TestAndAdd/Reset/State→Restore sequence over small ping-pong pairs,
+// where rotations reset untouched and written generations alike, gives
+// the same answers and the same serialized state at every step.
 func TestLazyMatchesEager(t *testing.T) {
 	eager := func(p *PingPong) {
 		for _, g := range p.gen {
 			if g.bits == nil {
-				g.alloc()
+				g.promote()
 			}
 		}
 	}
@@ -189,17 +189,17 @@ func TestLazyMatchesEager(t *testing.T) {
 }
 
 // TestUntouchedFilterStaysUnallocated pins the memory saving: a filter
-// that is only tested, reset and snapshotted never allocates bits.
+// that is only tested, reset and snapshotted never allocates storage.
 func TestUntouchedFilterStaysUnallocated(t *testing.T) {
 	f := New(1<<16, 1e-6)
 	f.Test([]byte("x"))
 	f.Reset()
 	f = RestoreFilter(f.State())
-	if f.bits != nil {
-		t.Fatal("untouched filter allocated its bit array")
+	if heldBytes(f) != 0 {
+		t.Fatal("untouched filter allocated storage")
 	}
 	f.Add([]byte("x"))
-	if g := RestoreFilter(f.State()); g.bits == nil || !g.Test([]byte("x")) {
+	if g := RestoreFilter(f.State()); heldBytes(g) == 0 || !g.Test([]byte("x")) {
 		t.Fatal("restored filter lost its entry")
 	}
 }

@@ -36,6 +36,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"sslab/internal/detector"
@@ -502,9 +503,21 @@ func (f *Fleet) serverEndpoint() netsim.Endpoint {
 	n := f.nextServerIP
 	f.nextServerIP++
 	return netsim.Endpoint{
-		IP:   fmt.Sprintf("198.51.%d.%d", (n/250)%250, n%250+1),
+		IP:   dottedQuad(198, 51, (n/250)%250, n%250+1),
 		Port: 8388,
 	}
+}
+
+// dottedQuad formats an IPv4 address without fmt: a fleet mints one
+// client address per user at set-up, where fmt.Sprintf cost about a
+// third of the set-up time.
+func dottedQuad(a, b, c, d int) string {
+	var buf [15]byte
+	ip := strconv.AppendInt(buf[:0], int64(a), 10)
+	for _, x := range [3]int{b, c, d} {
+		ip = strconv.AppendInt(append(ip, '.'), int64(x), 10)
+	}
+	return string(ip)
 }
 
 // runSample is the AtCall trampoline for bucket-boundary sampling.
@@ -656,7 +669,7 @@ func (f *Fleet) build(plan runPlan) {
 		f.implUsers[srv.implIdx]++
 		f.uargs[i] = userArg{f: f, idx: int32(i)}
 		f.clients[i] = netsim.Endpoint{
-			IP:   fmt.Sprintf("100.%d.%d.%d", 64+gi/62500, (gi/250)%250, gi%250+1),
+			IP:   dottedQuad(100, 64+gi/62500, (gi/250)%250, gi%250+1),
 			Port: 40000,
 		}
 		// Stagger first wake-ups uniformly over one mean gap, so the

@@ -17,12 +17,15 @@ import (
 // — genuine clients are served and their nonces enter the replay filter;
 // identical replays against a server without replay defense are served
 // with data; everything else gets the reaction engine's verdict — but
-// with O(1) memory. Where ServerHost keys every payload ever seen in an
-// unbounded map, the fleet host remembers payload hashes in a fixed-size
-// Bloom filter sized for the epoch's expected flow count: a false
-// positive (mistaking a fresh probe payload for a replay) is ≪0.1% and
-// only matters for undefended servers, whose genuine replays dominate
-// their evidence anyway.
+// in bounded memory. Where ServerHost keys every payload ever seen in an
+// unbounded map, the fleet host remembers payload hashes in a Bloom
+// filter sized for the epoch's expected flow count, whose storage grows
+// with the payloads it holds up to that bound: a false positive
+// (mistaking a fresh probe payload for a replay) is ≪0.1% and only
+// matters for undefended servers, whose genuine replays dominate their
+// evidence anyway. Only hosts whose probe path reads the filter — a
+// Shadowsocks server without replay defense, a probe-answering obfs
+// server — hash payloads into it.
 //
 // The other protocol families model each deployment's probe posture:
 //
@@ -41,8 +44,11 @@ type serverHost struct {
 	srv    *reaction.Server // Shadowsocks only; nil for other protocols
 	proto  protoKind
 	silent bool
-	seen   *bloom.Filter
-	key    [8]byte
+	// readsSeen marks the hosts whose probe path tests seen: identical
+	// replays are served only where no replay defense stops them.
+	readsSeen bool
+	seen      *bloom.Filter
+	key       [8]byte
 }
 
 // newServerHost sizes the replay-seen filter for the server's expected
@@ -50,11 +56,12 @@ type serverHost struct {
 func newServerHost(f *Fleet, srv *reaction.Server, proto protoKind, silent bool, usersPerServer, hours int, peakRate float64) *serverHost {
 	capacity := int(float64(usersPerServer*hours)*peakRate*1.5) + 64
 	return &serverHost{
-		f:      f,
-		srv:    srv,
-		proto:  proto,
-		silent: silent,
-		seen:   bloom.New(capacity, 1e-3),
+		f:         f,
+		srv:       srv,
+		proto:     proto,
+		silent:    silent,
+		readsSeen: (proto == protoSS && !srv.Profile.ReplayDefense) || (proto == protoObfs && !silent),
+		seen:      bloom.New(capacity, 1e-3),
 	}
 }
 
@@ -91,7 +98,7 @@ func (h *serverHost) HandleFlow(fl *netsim.Flow) netsim.Outcome {
 		if h.proto == protoSS {
 			h.srv.RegisterNonce(fl.FirstPayload, now)
 		}
-		if h.proto == protoSS || h.proto == protoObfs {
+		if h.readsSeen {
 			h.seen.Add(h.hashPayload(fl.FirstPayload))
 		}
 		return netsim.Outcome{Reaction: reaction.Data, ResponseLen: 1200}
@@ -130,7 +137,7 @@ func (h *serverHost) HandleFlow(fl *netsim.Flow) netsim.Outcome {
 		// error, having read the request.
 		return netsim.Outcome{Reaction: reaction.FINACK}
 	}
-	if fl.FirstPayload != nil && h.seen.Test(h.hashPayload(fl.FirstPayload)) && !h.srv.Profile.ReplayDefense {
+	if !h.srv.Profile.ReplayDefense && fl.FirstPayload != nil && h.seen.Test(h.hashPayload(fl.FirstPayload)) {
 		return netsim.Outcome{Reaction: reaction.Data, ResponseLen: 800}
 	}
 	r := h.srv.ReactAt(fl.FirstPayload, fl.GeneratedAt, now)
