@@ -31,8 +31,6 @@ func BenchmarkHotPath(b *testing.B) {
 	b.Run("GFWOnFlow", benchGFWOnFlow)
 	b.Run("GFWOnFlow3Stage", benchGFWOnFlow3Stage)
 	b.Run("GFWFlowBatch", benchGFWFlowBatch)
-	b.Run("GFWFlowBatchCached", benchGFWFlowBatchCached)
-	b.Run("VerdictCacheHit", benchVerdictCacheHit)
 	b.Run("DetectorChainSS", benchDetectorChainSS)
 	b.Run("DetectorChain3", benchDetectorChain3)
 	b.Run("ImpairedConnect", benchImpairedConnect)
@@ -58,7 +56,7 @@ func benchGFWOnFlow(b *testing.B) {
 
 // benchGFWOnFlow3Stage is the same pipeline with the three-stage passive
 // chain (shadowsocks + openvpn + fullyencrypted). The acceptance bound:
-// within 2× of the single-stage GFWOnFlow ns/op at the same 1 alloc/op.
+// within 2× of the single-stage GFWOnFlow ns/op at the same 0 allocs/op.
 func benchGFWOnFlow3Stage(b *testing.B) {
 	benchGFWOnFlowChain(b, []string{"shadowsocks", "openvpn", "fullyencrypted"})
 }
@@ -105,27 +103,15 @@ func benchGFWOnFlowChain(b *testing.B, detectors []string) {
 	b.ReportMetric(float64(censor.ProbesSent)/float64(b.N), "probes/flow")
 }
 
-// benchGFWFlowBatch drives the same full passive pipeline through the
-// batched ingestion path: 512-spec ConnectBatch calls feeding the
-// censor's OnFlowBatch, probes drained between batches. Eliminating the
-// per-flow netsim.Flow allocation is the point — budget 0 allocs/op
-// (recordings and probes amortize to a rounding-error fraction).
+// benchGFWFlowBatch drives the same full passive pipeline through
+// 512-spec ConnectBatch calls, probes drained between batches. Budget:
+// 0 allocs/op (recordings and probes amortize to a rounding-error
+// fraction).
 func benchGFWFlowBatch(b *testing.B) {
-	benchGFWBatchChain(b, 0)
-}
-
-// benchGFWFlowBatchCached is the batched pipeline with the verdict
-// cache in front of the chain — the two-tier fast path end to end. The
-// 1024-payload mix fits the cache, so steady state is all hits.
-func benchGFWFlowBatchCached(b *testing.B) {
-	benchGFWBatchChain(b, 8192)
-}
-
-func benchGFWBatchChain(b *testing.B, cacheEntries int) {
 	sim := netsim.NewSim()
 	network := netsim.NewNetwork(sim)
 	censor := gfw.New(gfw.Env{Sim: sim, Net: network},
-		gfw.WithConfig(gfw.Config{Seed: 7, PoolSize: 4000, VerdictCache: cacheEntries}))
+		gfw.WithConfig(gfw.Config{Seed: 7, PoolSize: 4000}))
 	network.AddMiddlebox(censor)
 
 	server := netsim.Endpoint{IP: "178.62.10.1", Port: 8388}
@@ -155,8 +141,8 @@ func benchGFWBatchChain(b *testing.B, cacheEntries int) {
 			idx++
 		}
 	}
-	// Warm the flow arena (and, when enabled, the verdict cache) so the
-	// timer sees steady state.
+	// Warm the network's flow freelist and the censor's recording state
+	// so the timer sees steady state.
 	for w := 0; w < 2; w++ {
 		fill()
 		outs = network.ConnectBatch(specs, outs[:0])
@@ -171,43 +157,6 @@ func benchGFWBatchChain(b *testing.B, cacheEntries int) {
 	}
 	sim.Run()
 	b.ReportMetric(float64(censor.ProbesSent)/float64(b.N), "probes/flow")
-}
-
-// benchVerdictCacheHit isolates the cached-flow verdict path: every
-// payload in the mix is already memoized, so each call is fingerprint +
-// set probe, skipping the chain walk entirely. The acceptance bound:
-// ≥5× faster than DetectorChainSS (the uncached walk over the same
-// mix) at 0 allocs/op.
-func benchVerdictCacheHit(b *testing.B) {
-	sim := netsim.NewSim()
-	network := netsim.NewNetwork(sim)
-	censor := gfw.New(gfw.Env{Sim: sim, Net: network},
-		gfw.WithConfig(gfw.Config{Seed: 7, VerdictCache: 8192}))
-
-	server := netsim.Endpoint{IP: "178.62.10.1", Port: 8388}
-	payloads := benchPayloadMix()
-	f := &netsim.Flow{Server: server}
-	for _, p := range payloads { // warm: memoize the whole mix
-		f.FirstPayload = p
-		censor.PassiveVerdict(f)
-	}
-	suspects := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.FirstPayload = payloads[i%len(payloads)]
-		if _, res := censor.PassiveVerdict(f); res.Verdict == detector.Suspect {
-			suspects++
-		}
-	}
-	b.StopTimer()
-	hits, misses, _ := censor.CacheStats()
-	if b.N > 1024 && suspects == 0 {
-		b.Fatal("cached verdicts never flagged the Shadowsocks-shaped mix")
-	}
-	if misses > int64(len(payloads)) {
-		b.Fatalf("cache thrashing: %d misses for a %d-payload mix (%d hits)", misses, len(payloads), hits)
-	}
 }
 
 // benchPayloadMix builds the first-packet mix the GFW benches drive: 70%

@@ -28,7 +28,6 @@
 package detector
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -114,15 +113,12 @@ type Scratch struct {
 	payload []byte
 	ent     float64
 	entOK   bool
-	fp      uint64
-	fpOK    bool
 }
 
 // reset points the scratch at a new flow's first payload.
 func (sc *Scratch) reset(payload []byte) {
 	sc.payload = payload
 	sc.entOK = false
-	sc.fpOK = false
 }
 
 // Entropy returns the per-byte Shannon entropy of the flow's first
@@ -135,76 +131,6 @@ func (sc *Scratch) Entropy() float64 {
 		sc.entOK = true
 	}
 	return sc.ent
-}
-
-// Fingerprint returns the 64-bit payload fingerprint (see the package
-// Fingerprint function), computing it at most once per flow however
-// many stages — or the censor's verdict cache — ask.
-//
-//sslab:hotpath
-func (sc *Scratch) Fingerprint() uint64 {
-	if !sc.fpOK {
-		sc.fp = Fingerprint(sc.payload)
-		sc.fpOK = true
-	}
-	return sc.fp
-}
-
-// fpMix is the SplitMix64 multiplicative constant; one multiply plus a
-// shift-xor is enough diffusion for a cache key that is verified by a
-// full comparison anyway. fpMix2 (the SplitMix64 finalizer constant)
-// seeds the second accumulator lane so the lanes never start equal.
-const (
-	fpMix  = 0x9e3779b97f4a7c15
-	fpMix2 = 0x94d049bb133111eb
-)
-
-// Fingerprint reduces a first payload to a cheap 64-bit key for the
-// censor's verdict-cache tier. It must be far cheaper than the chain
-// walk it lets the censor skip, so it samples: the length, up to 32
-// 8-byte words at a fixed stride, and always the final 8 bytes (short
-// payloads hash every byte). Distinct payloads may in principle
-// collide, but a cache hit only substitutes one deterministic chain
-// verdict for another when the full 64-bit fingerprint, server
-// endpoint and set index all agree — a 2⁻⁶⁴-scale event the
-// cache-equivalence suite bounds empirically.
-//
-//sslab:hotpath
-func Fingerprint(p []byte) uint64 {
-	n := len(p)
-	h := (uint64(n) + 1) * fpMix
-	if n >= 8 {
-		step := 8
-		if n > 256 {
-			// Sample ≈32 words: round the stride up to the next multiple
-			// of 8 so reads stay aligned to the slice start.
-			step = (n/32 + 7) &^ 7
-		}
-		// Two independent accumulator lanes over alternating sampled
-		// words: the xor→mul→shift chain is the latency bottleneck, and
-		// splitting it lets the CPU retire two words per chain step.
-		// The sampled offsets (0, step, 2·step, … plus the final word)
-		// are identical to a single-lane walk.
-		h2 := (h ^ fpMix2) * fpMix
-		i := 0
-		for ; i+step+8 <= n; i += 2 * step {
-			h = (h ^ binary.LittleEndian.Uint64(p[i:])) * fpMix
-			h ^= h >> 29
-			h2 = (h2 ^ binary.LittleEndian.Uint64(p[i+step:])) * fpMix
-			h2 ^= h2 >> 29
-		}
-		if i+8 <= n {
-			h = (h ^ binary.LittleEndian.Uint64(p[i:])) * fpMix
-			h ^= h >> 29
-		}
-		h = (h ^ h2 ^ binary.LittleEndian.Uint64(p[n-8:])) * fpMix
-	} else {
-		for _, b := range p {
-			h = (h ^ uint64(b)) * fpMix
-		}
-	}
-	h ^= h >> 32
-	return h
 }
 
 // Factory builds one configured stage instance.

@@ -335,12 +335,6 @@ type Fleet struct {
 
 	tg      *trafficgen.Generator
 	scratch []byte
-	// specBuf/outBuf feed wake()'s batched flow submission: the spec
-	// references f.scratch, and the outcome slice is reused per wake, so
-	// the flow path allocates nothing in steady state (the scalar
-	// Connect path allocated one netsim.Flow per wake-up).
-	specBuf [1]netsim.FlowSpec
-	outBuf  []netsim.Outcome
 	end     time.Time
 
 	meanGap      time.Duration
@@ -409,10 +403,10 @@ func runUserWake(x any) {
 }
 
 // wake is the per-user hot path: chain the next wake-up, thin by the
-// diurnal curve, then (if active) emit one flow through the batched
-// ingestion path and account its outcome. Steady state allocates
-// nothing: the flow lives in the network's batch arena instead of one
-// netsim.Flow heap allocation per wake-up.
+// diurnal curve, then (if active) emit one flow through
+// netsim.Network.Connect and account its outcome. Steady state
+// allocates nothing: the first flight is built in f.scratch and the
+// network recycles its Flow.
 //
 //sslab:hotpath
 func (f *Fleet) wake(a *userArg) {
@@ -432,9 +426,7 @@ func (f *Fleet) wake(a *userArg) {
 
 	srv := &f.servers[u.server]
 	f.scratch = f.tg.AppendProtocolFirstPacket(f.scratch[:0], srv.spec, trafficgen.Workload(u.wl))
-	f.specBuf[0] = netsim.FlowSpec{Client: f.clients[a.idx], Server: srv.ep, FirstPayload: f.scratch}
-	f.outBuf = f.net.ConnectBatch(f.specBuf[:], f.outBuf[:0])
-	out := f.outBuf[0]
+	out := f.net.Connect(f.clients[a.idx], srv.ep, f.scratch, false, time.Time{})
 	f.flows++
 	f.mFlows.Inc()
 	f.flowsTS.Add(now.Sub(netsim.Epoch), 1)

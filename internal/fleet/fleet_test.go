@@ -50,26 +50,6 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
-// TestFleetVerdictCacheInvisible: enabling the censor's verdict cache
-// changes nothing about a fleet run's report — same flows, probes,
-// blocks, curves — at any capacity, including one small enough to churn.
-// Only Config (which records the knob) is excluded from the comparison.
-func TestFleetVerdictCacheInvisible(t *testing.T) {
-	stripped := func(cacheEntries int) []byte {
-		cfg := smallCfg(7)
-		cfg.GFW.VerdictCache = cacheEntries
-		rep := mustRun(t, cfg)
-		rep.Config = Config{}
-		return reportJSON(t, rep)
-	}
-	base := stripped(0)
-	for _, entries := range []int{16, 4096} {
-		if got := stripped(entries); string(got) != string(base) {
-			t.Fatalf("verdict cache (%d entries) changed the fleet report", entries)
-		}
-	}
-}
-
 // TestFleetShape checks structural invariants of a run's report.
 func TestFleetShape(t *testing.T) {
 	cfg := smallCfg(11)

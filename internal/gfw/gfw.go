@@ -103,15 +103,6 @@ type Config struct {
 	// jitter draw entirely).
 	BlockTTLHours       float64 `json:"BlockTTLHours,omitzero"`
 	BlockTTLJitterHours float64 `json:"BlockTTLJitterHours,omitzero"`
-	// VerdictCache, when positive, enables the verdict-cache tier with
-	// at least that many entries (rounded up to a power-of-two set
-	// count; see cache.go). The cache memoizes the detector chain's
-	// (winner, Result) keyed on (server endpoint, 64-bit payload
-	// fingerprint); the chain is a deterministic pure function of the
-	// flow, and the recording coin flip stays outside the cache, so
-	// results — and every pinned golden — are unchanged; only
-	// gfw.cache.* counters and speed differ. Zero disables the tier.
-	VerdictCache int `json:"VerdictCache,omitzero"`
 }
 
 func (c Config) withDefaults() Config {
@@ -180,7 +171,6 @@ type GFW struct {
 	net   *netsim.Network
 	rng   *rand.Rand
 	chain *detector.Chain
-	cache *verdictCache
 	Pool  *Pool
 
 	// src and poolSrc are the counted sources behind rng and the pool's
@@ -343,33 +333,11 @@ func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
 }
 
-// WithPoolSize sets the number of prober source addresses.
-func WithPoolSize(n int) Option {
-	return func(c *Config) { c.PoolSize = n }
-}
-
-// WithSensitivity sets the blocking module's "human factor" gate.
-func WithSensitivity(p float64) Option {
-	return func(c *Config) { c.Sensitivity = p }
-}
-
-// WithTimeouts sets the prober's patience (see Config.Timeouts).
-func WithTimeouts(t netsim.Timeouts) Option {
-	return func(c *Config) { c.Timeouts = t }
-}
-
 // WithDetectors sets the passive detector chain (see Config.Detectors).
 // New panics on unknown or duplicate names; validate user input with
 // detector.ValidateNames first.
 func WithDetectors(names []string) Option {
 	return func(c *Config) { c.Detectors = names }
-}
-
-// WithVerdictCache enables the verdict-cache tier with at least the
-// given number of entries (see Config.VerdictCache). Zero or negative
-// disables it.
-func WithVerdictCache(entries int) Option {
-	return func(c *Config) { c.VerdictCache = entries }
 }
 
 // chainNames resolves the configured detector list to the canonical
@@ -442,9 +410,6 @@ func New(env Env, opts ...Option) *GFW {
 	for i, name := range chain.Names() {
 		g.mStageRec[i] = sim.Metrics.Counter("gfw.recorded." + name)
 	}
-	if cfg.VerdictCache > 0 {
-		g.cache = newVerdictCache(cfg.VerdictCache, sim.Metrics)
-	}
 	return g
 }
 
@@ -469,7 +434,7 @@ func (g *GFW) slabCopy(p []byte) []byte {
 }
 
 // state returns (materializing on first use) the per-suspect probing
-// state. It is called only from the recording branch of onFlow and from
+// state. It is called only from the recording branch of OnFlow and from
 // the probe paths — never for a flow that merely crosses the border —
 // so a server enters the map only once the censor actually suspects it.
 // Materialization draws no RNG, so laziness is invisible to goldens.
@@ -541,33 +506,12 @@ func (g *GFW) StageRecordings() []StageCount {
 	return out
 }
 
-// OnFlow implements netsim.Middlebox: passive analysis of a crossing flow.
+// OnFlow implements netsim.Middlebox: passive analysis of a crossing
+// flow. The flow is valid only during the call; the recording branch
+// slab-copies any payload it keeps.
 //
 //sslab:hotpath
 func (g *GFW) OnFlow(f *netsim.Flow) {
-	g.onFlow(f)
-}
-
-// OnFlowBatch implements netsim.BatchMiddlebox: the batched ingestion
-// path the fleet engine feeds. Each flow gets exactly the same passive
-// analysis, in slice order, as it would through OnFlow, so batch and
-// scalar delivery are observationally identical (pinned by the netsim
-// equivalence tests and TestGoldenCrossCheck). The flows live in the
-// network's reused batch arena and are valid only for the duration of
-// the call; the recording branch already slab-copies any payload it
-// keeps.
-//
-//sslab:hotpath
-func (g *GFW) OnFlowBatch(fs []netsim.Flow) {
-	for i := range fs {
-		g.onFlow(&fs[i])
-	}
-}
-
-// onFlow is the shared scalar/batch passive-analysis path.
-//
-//sslab:hotpath
-func (g *GFW) onFlow(f *netsim.Flow) {
 	if f.Probe {
 		return // the censor does not re-analyze its own probes
 	}
@@ -597,7 +541,7 @@ func (g *GFW) onFlow(f *netsim.Flow) {
 	// verdicts are still computed) but records nothing and sends no
 	// probes; the gate sits before the recording coin flip so an
 	// unpaused run's RNG stream is untouched.
-	winner, res := g.PassiveVerdict(f)
+	winner, res := g.chain.Observe(f)
 	if g.paused || res.Verdict != detector.Suspect || g.rng.Float64() >= res.Confidence {
 		return
 	}
@@ -622,37 +566,6 @@ func (g *GFW) onFlow(f *netsim.Flow) {
 	for i := 0; i < n; i++ {
 		g.sim.AfterCall(sampleDelay(g.rng), runProbeTask, g.newProbeTask(f.Server, rec))
 	}
-}
-
-// PassiveVerdict runs the censor's passive pipeline on one flow and
-// returns the winning stage index and combined result, going through
-// the verdict cache when one is configured. It performs no RNG draws
-// and no recording — it is the deterministic "is this suspicious, and
-// how confident" half of onFlow, exported so benchmarks and
-// equivalence tests can drive the cache directly.
-//
-//sslab:hotpath
-func (g *GFW) PassiveVerdict(f *netsim.Flow) (int, detector.Result) {
-	if g.cache == nil {
-		return g.chain.Observe(f)
-	}
-	fp := detector.Fingerprint(f.FirstPayload)
-	if winner, res, ok := g.cache.lookup(f.Server, fp); ok {
-		return winner, res
-	}
-	winner, res := g.chain.Observe(f)
-	g.cache.insert(f.Server, fp, winner, res)
-	return winner, res
-}
-
-// CacheStats reports the verdict cache's hit/miss/eviction totals (all
-// zero when the cache is disabled). The same numbers are exported as
-// the gfw.cache.* metrics counters.
-func (g *GFW) CacheStats() (hits, misses, evictions int64) {
-	if g.cache == nil {
-		return 0, 0, 0
-	}
-	return g.cache.hits, g.cache.misses, g.cache.evictions
 }
 
 // probeTask carries the arguments of one scheduled probe through the

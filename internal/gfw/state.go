@@ -78,10 +78,7 @@ func lessEndpoint(a, b netsim.Endpoint) bool {
 	return a.Port < b.Port
 }
 
-// CaptureState returns the censor's serializable state. The verdict
-// cache (when enabled) is deliberately not captured: it memoizes a
-// pure function of the flow, so a restored censor simply re-warms it
-// with identical results, and only the gfw.cache.* counters differ.
+// CaptureState returns the censor's serializable state.
 func (g *GFW) CaptureState() State {
 	st := State{
 		RNGDraws:         g.src.Draws(),

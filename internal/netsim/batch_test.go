@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -9,41 +8,13 @@ import (
 	"sslab/internal/reaction"
 )
 
-// copyBox is a scalar middlebox that snapshots each flow by value —
-// batch-arena flows are only valid during delivery, so retaining
-// pointers (as recordingBox does for scalar tests) would be a bug here.
-type copyBox struct {
-	flows    []Flow
-	outcomes []Outcome
-}
-
-func (b *copyBox) OnFlow(f *Flow) { b.flows = append(b.flows, *f) }
-func (b *copyBox) OnOutcome(f *Flow, o Outcome) {
-	b.outcomes = append(b.outcomes, o)
-}
-
-// batchBox additionally implements BatchMiddlebox, recording the run
-// lengths it was handed alongside the same per-flow snapshots.
-type batchBox struct {
-	copyBox
-	runs []int
-}
-
-func (b *batchBox) OnFlowBatch(fs []Flow) {
-	b.runs = append(b.runs, len(fs))
-	for i := range fs {
-		b.copyBox.OnFlow(&fs[i])
-	}
-}
-
 // batchEnv is one world for the equivalence tests: a network with one
-// responding host, one absent endpoint, one blockable server, and both
-// a scalar and a batch middlebox observing the border.
+// responding host, one absent endpoint, one blockable server, and a
+// middlebox observing the border.
 type batchEnv struct {
 	sim     *Sim
 	net     *Network
-	scalar  *copyBox
-	batch   *batchBox
+	box     *recordingBox
 	served  Endpoint
 	absent  Endpoint
 	blocked Endpoint
@@ -67,16 +38,14 @@ func newBatchEnv(opts ...NetworkOption) *batchEnv {
 		}
 		return Outcome{Reaction: reaction.Timeout}
 	}))
-	e.scalar = &copyBox{}
-	e.batch = &batchBox{}
-	e.net.AddMiddlebox(e.scalar)
-	e.net.AddMiddlebox(e.batch)
+	e.box = &recordingBox{}
+	e.net.AddMiddlebox(e.box)
 	e.net.BlockPort(e.blocked)
 	return e
 }
 
 // mixedSpecs builds a spec sequence exercising every path: served,
-// no-host RST, blocked (run breaker), probes, empty payloads.
+// no-host RST, blocked, probes, empty payloads.
 func mixedSpecs(e *batchEnv) []FlowSpec {
 	client := Endpoint{IP: "192.168.1.2", Port: 40000}
 	gen := time.Time{}
@@ -99,22 +68,18 @@ func sameFlows(t *testing.T, label string, a, b []Flow) {
 	}
 	for i := range a {
 		fa, fb := a[i], b[i]
-		same := fa.ID == fb.ID && fa.Client == fb.Client && fa.Server == fb.Server &&
-			bytes.Equal(fa.FirstPayload, fb.FirstPayload) &&
-			fa.Start.Equal(fb.Start) && fa.Probe == fb.Probe &&
-			fa.GeneratedAt.Equal(fb.GeneratedAt)
-		if !same {
-			t.Fatalf("%s: flow %d diverges:\n  scalar %+v\n  batch  %+v", label, i, fa, fb)
+		if !flowEqual(fa, fb) {
+			t.Fatalf("%s: flow %d diverges:\n  Connect %+v\n  batch   %+v", label, i, fa, fb)
 		}
 	}
 }
 
-// TestConnectBatchMatchesConnect pins the core contract: ConnectBatch
-// over a mixed spec sequence — served, probe, blocked, absent-host,
-// empty-payload — is observably identical to the same Connect calls in
-// order: same outcomes, same flow IDs and counters, same middlebox
-// observations (for both scalar-only and batch-capable middleboxes),
-// and the same silenced host deliveries for blocked servers.
+// TestConnectBatchMatchesConnect pins the wrapper's contract:
+// ConnectBatch over a mixed spec sequence — served, probe, blocked,
+// absent-host, empty-payload — is observably identical to the same
+// Connect calls in order: same outcomes, same flow IDs and counters,
+// same middlebox observations, and the same silenced host deliveries
+// for blocked servers.
 func TestConnectBatchMatchesConnect(t *testing.T) {
 	ref := newBatchEnv()
 	refSpecs := mixedSpecs(ref)
@@ -131,34 +96,23 @@ func TestConnectBatchMatchesConnect(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("outcome %d: batch %+v, scalar %+v", i, got[i], want[i])
+			t.Errorf("outcome %d: batch %+v, Connect %+v", i, got[i], want[i])
 		}
 	}
 	if e.net.Flows != ref.net.Flows || e.net.nextID != ref.net.nextID {
-		t.Errorf("counters: batch Flows=%d nextID=%d, scalar Flows=%d nextID=%d",
+		t.Errorf("counters: batch Flows=%d nextID=%d, Connect Flows=%d nextID=%d",
 			e.net.Flows, e.net.nextID, ref.net.Flows, ref.net.nextID)
 	}
-	sameFlows(t, "scalar middlebox", ref.scalar.flows, e.scalar.flows)
-	sameFlows(t, "batch middlebox", ref.batch.flows, e.batch.flows)
+	sameFlows(t, "middlebox", ref.box.flows, e.box.flows)
 	sameFlows(t, "silenced host flows", ref.silent, e.silent)
-	if len(e.scalar.outcomes) != len(ref.scalar.outcomes) {
-		t.Errorf("OnOutcome calls: %d vs %d", len(e.scalar.outcomes), len(ref.scalar.outcomes))
-	}
-	// The blocked flows at positions 2 and 6 break runs: [0,1] [3,4,5] [7].
-	wantRuns := []int{2, 3, 1}
-	if len(e.batch.runs) != len(wantRuns) {
-		t.Fatalf("batch runs = %v, want %v", e.batch.runs, wantRuns)
-	}
-	for i, r := range wantRuns {
-		if e.batch.runs[i] != r {
-			t.Fatalf("batch runs = %v, want %v", e.batch.runs, wantRuns)
-		}
+	if len(e.box.outcomes) != len(ref.box.outcomes) {
+		t.Errorf("OnOutcome calls: %d vs %d", len(e.box.outcomes), len(ref.box.outcomes))
 	}
 }
 
-// TestConnectBatchImpairedEquivalence: over impaired links every flow
-// falls back to the scalar path, in order, so batch and scalar draw the
-// identical per-link RNG sequence and produce identical outcomes.
+// TestConnectBatchImpairedEquivalence: over impaired links ConnectBatch
+// draws the identical per-link RNG sequence as the same Connect calls
+// and produces identical outcomes.
 func TestConnectBatchImpairedEquivalence(t *testing.T) {
 	profile := LinkProfile{LatencyBase: 30 * time.Millisecond, Jitter: 20 * time.Millisecond, Loss: 0.2}
 	mk := func() (*batchEnv, []FlowSpec) {
@@ -185,7 +139,7 @@ func TestConnectBatchImpairedEquivalence(t *testing.T) {
 	dropped := 0
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("outcome %d: batch %+v, scalar %+v", i, got[i], want[i])
+			t.Fatalf("outcome %d: batch %+v, Connect %+v", i, got[i], want[i])
 		}
 		if got[i].Dropped {
 			dropped++
@@ -194,12 +148,12 @@ func TestConnectBatchImpairedEquivalence(t *testing.T) {
 	if dropped == 0 {
 		t.Error("20% loss never dropped a flow; impaired path untested")
 	}
-	sameFlows(t, "impaired middlebox", ref.scalar.flows, e.scalar.flows)
+	sameFlows(t, "impaired middlebox", ref.box.flows, e.box.flows)
 }
 
 // TestConnectBatchReusesArena: after warm-up, a steady-state batch over
-// ideal links performs zero allocations — the Flow arena and the
-// caller's outcome buffer are both reused.
+// ideal links performs zero allocations — the network's Flow freelist
+// and the caller's outcome buffer are both reused.
 func TestConnectBatchReusesArena(t *testing.T) {
 	e := newBatchEnv()
 	client := Endpoint{IP: "192.168.1.2", Port: 40000}
@@ -208,16 +162,14 @@ func TestConnectBatchReusesArena(t *testing.T) {
 	for i := range specs {
 		specs[i] = FlowSpec{Client: client, Server: e.served, FirstPayload: payload}
 	}
-	// Warm the arena, the outcome buffer, and the middlebox slices.
+	// Warm the freelist, the outcome buffer, and the middlebox slices.
 	outs := e.net.ConnectBatch(specs, nil)
 	for i := 0; i < 8; i++ {
-		e.scalar.flows, e.scalar.outcomes = e.scalar.flows[:0], e.scalar.outcomes[:0]
-		e.batch.flows, e.batch.outcomes, e.batch.runs = e.batch.flows[:0], e.batch.outcomes[:0], e.batch.runs[:0]
+		e.box.reset()
 		outs = e.net.ConnectBatch(specs, outs[:0])
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		e.scalar.flows, e.scalar.outcomes = e.scalar.flows[:0], e.scalar.outcomes[:0]
-		e.batch.flows, e.batch.outcomes, e.batch.runs = e.batch.flows[:0], e.batch.outcomes[:0], e.batch.runs[:0]
+		e.box.reset()
 		outs = e.net.ConnectBatch(specs, outs[:0])
 	})
 	if allocs != 0 {

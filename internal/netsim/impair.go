@@ -299,9 +299,8 @@ func (n *Network) connectImpaired(f *Flow, fwd, rev *linkState) Outcome {
 	if n.IsBlocked(f.Server) {
 		n.flowsBlocked.Inc()
 		if h, ok := n.hosts[f.Server]; ok {
-			silenced := *f
-			silenced.FirstPayload = nil
-			h.HandleFlow(&silenced)
+			f.FirstPayload = nil
+			h.HandleFlow(f)
 		}
 		return Outcome{Blocked: true}
 	}

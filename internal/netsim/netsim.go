@@ -279,7 +279,8 @@ type Outcome struct {
 	Elapsed time.Duration `json:"Elapsed,omitempty"`
 }
 
-// Host handles inbound flows.
+// Host handles inbound flows. The *Flow is valid only during the call
+// (see Connect).
 type Host interface {
 	HandleFlow(f *Flow) Outcome
 }
@@ -291,22 +292,13 @@ type HostFunc func(f *Flow) Outcome
 func (fn HostFunc) HandleFlow(f *Flow) Outcome { return fn(f) }
 
 // Middlebox observes flows crossing the border — the GFW's position.
+// The *Flow is valid only during each call (see Connect).
 type Middlebox interface {
 	// OnFlow sees every border-crossing flow with its first payload.
 	OnFlow(f *Flow)
 	// OnOutcome sees the server's reaction on the return path (unless the
 	// return path is blocked).
 	OnOutcome(f *Flow, o Outcome)
-}
-
-// BatchMiddlebox is a Middlebox that also accepts runs of flows in one
-// call — the censor-side half of ConnectBatch. OnFlowBatch(fs) must be
-// observationally identical to calling OnFlow(&fs[i]) for i in order;
-// the flows are backed by the network's reused batch arena and are
-// valid only for the duration of the call (copy anything retained).
-type BatchMiddlebox interface {
-	Middlebox
-	OnFlowBatch(fs []Flow)
 }
 
 // FlowSpec describes one flow to ConnectBatch — the same parameters as
@@ -325,19 +317,15 @@ type FlowSpec struct {
 type Network struct {
 	Sim *Sim
 
-	hosts map[Endpoint]Host
-	boxes []Middlebox
-	// batchBoxes is boxes with each element down-asserted to
-	// BatchMiddlebox (nil where the box is scalar-only), precomputed in
-	// AddMiddlebox so ConnectBatch does no per-flow type assertions.
-	batchBoxes []BatchMiddlebox
-	nextID     uint64
+	hosts  map[Endpoint]Host
+	boxes  []Middlebox
+	nextID uint64
 
-	// flowBuf is the arena backing ConnectBatch's flows: reused across
-	// calls, so batched ingestion allocates nothing in steady state.
-	// Flows handed to middleboxes and hosts during a batch are
-	// sub-slices of it and are valid only until the call returns.
-	flowBuf []Flow
+	// flowFree recycles the Flows that Connect hands to middleboxes and
+	// hosts, so flow delivery allocates nothing in steady state. It is a
+	// stack rather than one resident Flow so that a host or middlebox may
+	// call Connect again while its own flow is still being delivered.
+	flowFree []*Flow
 
 	// Null routing drops the server->client direction, per IP (all
 	// ports) or per endpoint (§6: "block by port, or by IP address?").
@@ -424,11 +412,7 @@ func NewNetwork(sim *Sim, opts ...NetworkOption) *Network {
 func (n *Network) AddHost(ep Endpoint, h Host) { n.hosts[ep] = h }
 
 // AddMiddlebox appends a middlebox to the border path.
-func (n *Network) AddMiddlebox(m Middlebox) {
-	n.boxes = append(n.boxes, m)
-	bm, _ := m.(BatchMiddlebox)
-	n.batchBoxes = append(n.batchBoxes, bm)
-}
+func (n *Network) AddMiddlebox(m Middlebox) { n.boxes = append(n.boxes, m) }
 
 // BlockIP null-routes the server->client direction for every port of ip
 // and returns the rule's generation for UnblockIPIf.
@@ -487,6 +471,15 @@ func (n *Network) IsBlocked(ep Endpoint) bool {
 //
 // generatedAt records when the payload content was originally created;
 // pass the zero time for "now" (fresh content).
+//
+// The *Flow handed to middleboxes and hosts is owned by the network and
+// valid only until Connect returns: it is then zeroed and reused, so
+// anything retained must be copied out (the censor slab-copies recorded
+// payloads; hosts keep only hashes). A host or middlebox may call
+// Connect again from inside a delivery; the nested flow gets its own
+// Flow.
+//
+//sslab:hotpath
 func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bool, generatedAt time.Time) Outcome {
 	n.Flows++
 	n.nextID++
@@ -494,23 +487,40 @@ func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bo
 	if probe {
 		n.probeFlows.Inc()
 	}
+	now := n.Sim.Now()
 	if generatedAt.IsZero() {
-		generatedAt = n.Sim.Now()
+		generatedAt = now
 	}
-	f := &Flow{
+	var f *Flow
+	if k := len(n.flowFree); k > 0 {
+		f = n.flowFree[k-1]
+		n.flowFree = n.flowFree[:k-1]
+	} else {
+		f = new(Flow)
+	}
+	*f = Flow{
 		ID:           n.nextID,
 		Client:       client,
 		Server:       server,
 		FirstPayload: firstPayload,
-		Start:        n.Sim.Now(),
+		Start:        now,
 		Probe:        probe,
 		GeneratedAt:  generatedAt,
 	}
+	o := n.route(f)
+	*f = Flow{}
+	n.flowFree = append(n.flowFree, f)
+	return o
+}
+
+// route delivers one initialized flow: the impaired path first, then
+// the blocked diversion, then middleboxes → host → outcomes.
+func (n *Network) route(f *Flow) Outcome {
 	// Impaired links take the fault-injecting path (impair.go); with no
 	// profiles configured — or all profiles zero — the flow continues on
 	// the exact historical code path below, with no extra RNG draws.
 	if n.impaired() {
-		fwd, rev := n.linkFor(client, server), n.linkFor(server, client)
+		fwd, rev := n.linkFor(f.Client, f.Server), n.linkFor(f.Server, f.Client)
 		if fwd != nil || rev != nil {
 			return n.connectImpaired(f, fwd, rev)
 		}
@@ -521,19 +531,18 @@ func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bo
 	// censor's) point of view the connection never completes, and because
 	// the handshake fails the client never sends its payload — so the
 	// middleboxes see nothing and the host sees a flow with no data.
-	if n.IsBlocked(server) {
+	if n.IsBlocked(f.Server) {
 		n.flowsBlocked.Inc()
-		if h, ok := n.hosts[server]; ok {
-			silenced := *f
-			silenced.FirstPayload = nil
-			h.HandleFlow(&silenced)
+		if h, ok := n.hosts[f.Server]; ok {
+			f.FirstPayload = nil
+			h.HandleFlow(f)
 		}
 		return Outcome{Blocked: true}
 	}
 	for _, b := range n.boxes {
 		b.OnFlow(f)
 	}
-	h, ok := n.hosts[server]
+	h, ok := n.hosts[f.Server]
 	if !ok {
 		// Connection refused by the network: no host. The censor can
 		// observe this too.
@@ -550,147 +559,13 @@ func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bo
 	return o
 }
 
-// needsScalar reports whether a flow must take the one-at-a-time path:
-// an impaired link (fault injection draws per-transmission RNG in flow
-// order) or a blocked server (diverted before middleboxes see it).
-//
-//sslab:hotpath
-func (n *Network) needsScalar(f *Flow, impaired bool) bool {
-	if impaired {
-		if n.linkFor(f.Client, f.Server) != nil || n.linkFor(f.Server, f.Client) != nil {
-			return true
-		}
-	}
-	return n.IsBlocked(f.Server)
-}
-
-// connectScalar completes one already-initialized flow exactly as
-// Connect does after constructing the Flow: impaired path first, then
-// the blocked diversion, then middleboxes → host → outcomes.
-func (n *Network) connectScalar(f *Flow, impaired bool) Outcome {
-	if impaired {
-		fwd, rev := n.linkFor(f.Client, f.Server), n.linkFor(f.Server, f.Client)
-		if fwd != nil || rev != nil {
-			return n.connectImpaired(f, fwd, rev)
-		}
-	}
-	if n.IsBlocked(f.Server) {
-		n.flowsBlocked.Inc()
-		if h, ok := n.hosts[f.Server]; ok {
-			silenced := *f
-			silenced.FirstPayload = nil
-			h.HandleFlow(&silenced)
-		}
-		return Outcome{Blocked: true}
-	}
-	for _, b := range n.boxes {
-		b.OnFlow(f)
-	}
-	h, ok := n.hosts[f.Server]
-	if !ok {
-		o := Outcome{Reaction: reaction.RST}
-		for _, b := range n.boxes {
-			b.OnOutcome(f, o)
-		}
-		return o
-	}
-	o := h.HandleFlow(f)
-	for _, b := range n.boxes {
-		b.OnOutcome(f, o)
-	}
-	return o
-}
-
-// ConnectBatch performs the specs' flows in order and appends their
+// ConnectBatch performs Connect per spec, in order, and appends the
 // outcomes to outBuf (pass outBuf[:0] to reuse a caller-owned slice),
 // returning the extended slice. Outcome i corresponds to specs[i].
-//
-// Semantics are equivalent to calling Connect once per spec, in order
-// — same counters, same flow IDs, same outcomes, same per-flow RNG
-// draw order — with one scheduling difference: within a maximal run of
-// consecutive ideal-link, unblocked flows, every middlebox sees the
-// whole run (one OnFlowBatch call for BatchMiddlebox implementations,
-// per-flow OnFlow otherwise) before the hosts produce the run's
-// outcomes. That reorder is unobservable for this repo's components:
-// middlebox and host RNG streams are independent, censor probe work is
-// event-scheduled rather than synchronous, and no host schedules
-// events from HandleFlow. Middleboxes must not install blocking rules
-// synchronously from OnFlow/OnOutcome when using batch delivery (the
-// censor blocks from scheduled probe outcomes, never inline). Blocked
-// and impaired flows break runs and take the exact scalar path, in
-// order.
-//
-// The Flow values handed to middleboxes and hosts are backed by a
-// network-owned arena reused across calls: they are valid only until
-// ConnectBatch returns, and anything retained must be copied (the
-// censor slab-copies recorded payloads; hosts keep only hashes).
-//
-//sslab:hotpath
 func (n *Network) ConnectBatch(specs []FlowSpec, outBuf []Outcome) []Outcome {
-	if cap(n.flowBuf) < len(specs) {
-		n.flowBuf = make([]Flow, len(specs))
-	}
-	flowBuf := n.flowBuf[:len(specs)]
-	now := n.Sim.Now()
-	impaired := n.impaired()
 	for i := range specs {
 		sp := &specs[i]
-		n.Flows++
-		n.nextID++
-		n.flowsTotal.Inc()
-		if sp.Probe {
-			n.probeFlows.Inc()
-		}
-		genAt := sp.GeneratedAt
-		if genAt.IsZero() {
-			genAt = now
-		}
-		flowBuf[i] = Flow{
-			ID:           n.nextID,
-			Client:       sp.Client,
-			Server:       sp.Server,
-			FirstPayload: sp.FirstPayload,
-			Start:        now,
-			Probe:        sp.Probe,
-			GeneratedAt:  genAt,
-		}
-	}
-	for i := 0; i < len(flowBuf); {
-		if n.needsScalar(&flowBuf[i], impaired) {
-			outBuf = append(outBuf, n.connectScalar(&flowBuf[i], impaired))
-			i++
-			continue
-		}
-		// Maximal run of ideal-path unblocked flows: deliver the run to
-		// the border, then let the hosts answer it.
-		j := i + 1
-		for j < len(flowBuf) && !n.needsScalar(&flowBuf[j], impaired) {
-			j++
-		}
-		run := flowBuf[i:j]
-		for bi, b := range n.boxes {
-			if bb := n.batchBoxes[bi]; bb != nil {
-				bb.OnFlowBatch(run)
-			} else {
-				for k := range run {
-					b.OnFlow(&run[k])
-				}
-			}
-		}
-		for k := range run {
-			f := &run[k]
-			var o Outcome
-			if h, ok := n.hosts[f.Server]; ok {
-				o = h.HandleFlow(f)
-			} else {
-				o = Outcome{Reaction: reaction.RST}
-			}
-			for _, b := range n.boxes {
-				b.OnOutcome(f, o)
-			}
-			outBuf = append(outBuf, o)
-		}
-		i = j
+		outBuf = append(outBuf, n.Connect(sp.Client, sp.Server, sp.FirstPayload, sp.Probe, sp.GeneratedAt))
 	}
 	return outBuf
 }

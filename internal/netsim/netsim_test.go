@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -75,13 +76,26 @@ func TestSimPastEventClamped(t *testing.T) {
 	}
 }
 
+// recordingBox is a middlebox that snapshots each flow by value, as
+// the Connect contract requires of anything that keeps a flow past the
+// call. ptrs deliberately also keeps the raw pointers so tests can
+// check that the network zeroes a Flow once Connect returns.
 type recordingBox struct {
-	flows    []*Flow
+	flows    []Flow
+	ptrs     []*Flow
 	outcomes []Outcome
 }
 
-func (b *recordingBox) OnFlow(f *Flow)               { b.flows = append(b.flows, f) }
+func (b *recordingBox) OnFlow(f *Flow) {
+	b.flows = append(b.flows, *f)
+	b.ptrs = append(b.ptrs, f)
+}
 func (b *recordingBox) OnOutcome(f *Flow, o Outcome) { b.outcomes = append(b.outcomes, o) }
+
+// reset empties the box, keeping its capacity.
+func (b *recordingBox) reset() {
+	b.flows, b.ptrs, b.outcomes = b.flows[:0], b.ptrs[:0], b.outcomes[:0]
+}
 
 func TestNetworkDelivery(t *testing.T) {
 	s := NewSim()
@@ -162,6 +176,87 @@ func TestBlocking(t *testing.T) {
 	}
 	if n.Flows != 4 {
 		t.Errorf("Flows = %d, want 4 (blocked attempts count)", n.Flows)
+	}
+}
+
+// flowEqual reports whether two flows carry the same fields.
+func flowEqual(a, b Flow) bool {
+	return a.ID == b.ID && a.Client == b.Client && a.Server == b.Server &&
+		bytes.Equal(a.FirstPayload, b.FirstPayload) && (a.FirstPayload == nil) == (b.FirstPayload == nil) &&
+		a.Start.Equal(b.Start) && a.Probe == b.Probe && a.GeneratedAt.Equal(b.GeneratedAt)
+}
+
+// TestConnectNested pins the Connect contract: a host may call Connect
+// while its own flow is being delivered, the outer flow is intact when
+// the inner call returns, flow IDs follow call order, neither depth
+// allocates in steady state, and a Flow pointer kept past Connect reads
+// as a zeroed Flow.
+func TestConnectNested(t *testing.T) {
+	s := NewSim()
+	n := NewNetwork(s)
+	outerSrv := Endpoint{IP: "10.0.0.1", Port: 8388}
+	innerSrv := Endpoint{IP: "10.0.0.2", Port: 8388}
+	client := Endpoint{IP: "192.168.1.2", Port: 40000}
+	outerPay, innerPay := []byte("outer-payload"), []byte("inner")
+	box := &recordingBox{}
+	n.AddMiddlebox(box)
+	n.AddHost(innerSrv, HostFunc(func(f *Flow) Outcome {
+		return Outcome{Reaction: reaction.Data, ResponseLen: len(f.FirstPayload)}
+	}))
+	var inner Outcome
+	clobbered := 0
+	n.AddHost(outerSrv, HostFunc(func(f *Flow) Outcome {
+		before := *f
+		inner = n.Connect(outerSrv, innerSrv, innerPay, true, time.Time{})
+		if !flowEqual(*f, before) {
+			clobbered++
+		}
+		return Outcome{Reaction: reaction.Data, ResponseLen: len(f.FirstPayload)}
+	}))
+
+	o := n.Connect(client, outerSrv, outerPay, false, time.Time{})
+	if clobbered != 0 {
+		t.Fatal("the nested Connect changed the outer flow")
+	}
+	if o.ResponseLen != len(outerPay) || inner.ResponseLen != len(innerPay) {
+		t.Errorf("outcomes: outer %+v, inner %+v", o, inner)
+	}
+	if len(box.flows) != 2 {
+		t.Fatalf("middlebox saw %d flows, want 2", len(box.flows))
+	}
+	out, in := box.flows[0], box.flows[1]
+	if out.ID != 1 || out.Server != outerSrv || string(out.FirstPayload) != string(outerPay) || out.Probe {
+		t.Errorf("outer observation %+v", out)
+	}
+	if in.ID != 2 || in.Server != innerSrv || string(in.FirstPayload) != string(innerPay) || !in.Probe {
+		t.Errorf("inner observation %+v", in)
+	}
+	if len(box.outcomes) != 2 || box.outcomes[0] != inner || box.outcomes[1] != o {
+		t.Errorf("OnOutcome saw %+v, want inner then outer", box.outcomes)
+	}
+	for i, p := range box.ptrs {
+		if !flowEqual(*p, Flow{}) {
+			t.Errorf("flow %d: pointer kept past Connect reads %+v, want a zeroed Flow", i, *p)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		srv  Endpoint
+	}{{"depth 1", innerSrv}, {"depth 2", outerSrv}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			box.reset()
+			n.Connect(client, tc.srv, outerPay, false, time.Time{})
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state Connect allocates %.1f/op, want 0", tc.name, allocs)
+		}
+	}
+	if clobbered != 0 {
+		t.Errorf("the nested Connect changed the outer flow in %d steady-state runs", clobbered)
+	}
+	if len(box.flows) != 2 || box.flows[0].ID+1 != box.flows[1].ID || box.flows[1].ID != n.nextID {
+		t.Errorf("steady-state flow IDs out of call order: %+v (next %d)", box.flows, n.nextID)
 	}
 }
 

@@ -95,32 +95,8 @@ func (h *Histogram) Keys() []int {
 	return out
 }
 
-// TopK returns the k most frequent bins, by descending count (ties by
-// ascending bin).
-func (h *Histogram) TopK(k int) []struct{ Value, Count int } {
-	type vc struct{ Value, Count int }
-	all := make([]vc, 0, len(h.Counts))
-	for v, c := range h.Counts {
-		all = append(all, vc{v, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Value < all[j].Value
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]struct{ Value, Count int }, k)
-	for i := 0; i < k; i++ {
-		out[i] = struct{ Value, Count int }{all[i].Value, all[i].Count}
-	}
-	return out
-}
-
-// LinearFit returns the least-squares slope and intercept of y against x.
-func LinearFit(x, y []float64) (slope, intercept float64, err error) {
+// linearFit returns the least-squares slope and intercept of y against x.
+func linearFit(x, y []float64) (slope, intercept float64, err error) {
 	if len(x) != len(y) || len(x) < 2 {
 		return 0, 0, fmt.Errorf("stats: need >= 2 paired samples, got %d/%d", len(x), len(y))
 	}
@@ -248,7 +224,7 @@ func (c *TSCluster) MeasuredRate() (float64, error) {
 		x[i] = p.T
 		y[i] = unwrapped
 	}
-	slope, _, err := LinearFit(x, y)
+	slope, _, err := linearFit(x, y)
 	return slope, err
 }
 

@@ -54,29 +54,22 @@ func TestHistogram(t *testing.T) {
 	if len(keys) != 3 || keys[0] != 3 || keys[2] != 9 {
 		t.Errorf("Keys = %v", keys)
 	}
-	top := h.TopK(2)
-	if top[0].Value != 5 || top[1].Value != 3 {
-		t.Errorf("TopK = %v", top)
-	}
-	if got := h.TopK(10); len(got) != 3 {
-		t.Errorf("TopK(10) len = %d", len(got))
-	}
 }
 
 func TestLinearFit(t *testing.T) {
 	x := []float64{0, 1, 2, 3, 4}
 	y := []float64{1, 3.5, 6, 8.5, 11} // slope 2.5, intercept 1
-	slope, intercept, err := LinearFit(x, y)
+	slope, intercept, err := linearFit(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(slope-2.5) > 1e-9 || math.Abs(intercept-1) > 1e-9 {
 		t.Errorf("fit = (%v, %v)", slope, intercept)
 	}
-	if _, _, err := LinearFit([]float64{1}, []float64{2}); err == nil {
+	if _, _, err := linearFit([]float64{1}, []float64{2}); err == nil {
 		t.Error("single point accepted")
 	}
-	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 5}); err == nil {
+	if _, _, err := linearFit([]float64{2, 2}, []float64{1, 5}); err == nil {
 		t.Error("degenerate x accepted")
 	}
 }

@@ -266,14 +266,6 @@ func WithDetectors(names ...string) CensorOption {
 	return gfw.WithDetectors(names)
 }
 
-// WithVerdictCache enables the censor's verdict-cache fast path with at
-// least the given number of entries: the detector chain's deterministic
-// judgment is memoized per (server endpoint, payload fingerprint), so
-// repeated traffic skips the full stage walk. Verdicts — and therefore
-// reports — are unchanged; only the gfw.cache.* counters and throughput
-// differ. Zero or negative disables the tier (the default).
-func WithVerdictCache(entries int) CensorOption { return gfw.WithVerdictCache(entries) }
-
 // DetectorNames returns the registered detector stage names, sorted.
 func DetectorNames() []string { return detector.Names() }
 
